@@ -268,8 +268,8 @@ class ProjectIndex:
 
         The undirected ball around a function: its callees, its
         callers, their callees, and so on.  R007 searches this set for
-        width guards — a gate like ``word_width_ok`` typically sits one
-        hop *up* (in the caller that decides to take the fast path) and
+        width guards — a gate like the scan tier's ``key_bits + shift <=
+        32`` typically sits one hop *up* (in the caller that decides to take the fast path) and
         one or two hops *sideways* (a helper the caller consults).
         """
         start = (module, function.split(".")[0] if function else "")

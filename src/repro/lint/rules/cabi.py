@@ -27,8 +27,8 @@ This rule checks all three surfaces against each other:
    bank-concatenated ``values`` array, built in ``simulate_native``,
    types the buffer passed inside ``run_table_kernel``.  A
    ``from_buffer`` result bound to a name is traced through its
-   definitions (both branches of the ``wrong_buffer`` idiom), and
-   ``ffi.NULL`` satisfies any pointer.
+   definitions (both branches of an if/else), and ``ffi.NULL``
+   satisfies any pointer.
 
 Unknown dtypes stay silent: the rule only reports when two *known*
 facts disagree.  Suppress with ``# repro-lint: disable=R008``.

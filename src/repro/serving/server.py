@@ -37,7 +37,16 @@ from repro.serving.shard import Shard, ShardRing
 from repro.sim.state import PredictorState, StateError
 from repro.util import envvars
 
-__all__ = ["PredictionService", "PredictionServer", "default_linger_s"]
+__all__ = [
+    "LINE_LIMIT",
+    "PredictionService",
+    "PredictionServer",
+    "default_linger_s",
+]
+
+#: Longest request line the server reads, in bytes (asyncio's default
+#: stream limit, passed explicitly so the error message can name it).
+LINE_LIMIT = 2 ** 16
 
 
 def default_linger_s() -> Optional[float]:
@@ -178,7 +187,7 @@ class PredictionServer:
             asyncio.Lock() for _ in self.service.ring.shards
         )
         self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
+            self._serve_connection, self.host, self.port, limit=LINE_LIMIT
         )
         if self.linger_s is not None:
             self._linger_task = asyncio.create_task(self._linger_loop())
@@ -241,7 +250,18 @@ class PredictionServer:
             task.add_done_callback(self._connections.discard)
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over the limit, readline has discarded part of the
+                    # stream, so what follows is no request boundary:
+                    # answer once, then drop this connection only.
+                    writer.write(encode_message(error_response(
+                        f"request line exceeds the {LINE_LIMIT}-byte "
+                        "limit; closing the connection"
+                    )))
+                    await writer.drain()
+                    break
                 if not line:
                     break
                 if not line.strip():

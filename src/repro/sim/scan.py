@@ -63,26 +63,6 @@ Coverage — which specs the scan expresses
 * **skewed, single bank, PARTIAL or TOTAL**: with one bank the majority
   vote *is* the bank's own prediction, so PARTIAL ("train the agreeing
   banks, or all on a miss") degenerates to always-update.
-* **skewed, single bank, LAZY**: "train only on a miss" reads the
-  prediction, so the transition is not a clamped-add map — but it *is*
-  a monotone map on the (at most 2-bit) counter domain, so runs scan
-  with explicit 4-state map codes composed through a 64 KiB LUT
-  (``_scan_single_lazy``).
-* **skewed multi-bank, PARTIAL**: whether a bank trains depends on the
-  overall majority vote, which reads the *other* banks' counters — the
-  banks form one coupled state machine.  The kernel breaks the coupling
-  with a fixpoint iteration on the per-event vote-wrongness vector
-  ``w``: given ``w``, each bank decomposes into per-entry map-code
-  scans again, and the recomputed vote is a *causal* function of ``w``,
-  so the iteration provably converges to the unique fixpoint — the true
-  trajectory.  Convergence propagates along vote-sensitivity chains, so
-  ``_scan_coupled`` checkpoints the trace into blocks that each settle
-  in 2-3 local rounds (with an exact sequential-loop fallback at a
-  round cap).  Restricted to 1/2-bit counters (the map-code domain),
-  which covers every paper configuration.  Multi-bank *LAZY* stays on
-  the loop: its counters freeze on every correct vote, so a wrong guess
-  is never washed out by later training and the measured chains run
-  ~10x longer — past the point where blocked iteration pays.
 * **agree**: the biasing bit latches to the branch's first observed
   outcome, which is trace-determined; re-encoding the outcome stream as
   "agreed with bias?" makes the PHT an always-update table.  The only
@@ -92,12 +72,12 @@ Coverage — which specs the scan expresses
   because at first-touch events "PHT wrong" and "prediction wrong"
   decouple.
 
-The compiled native tier (:mod:`repro.sim.native`) now covers most of
-this ground with sequential C walks — always-update, single-bank LAZY,
-and multi-bank PARTIAL below its density ceiling — and outranks this
-module in the ``simulate_fast`` ladder.  The scan tier remains the
-fastest path for agree (bias expansion), extreme-density PARTIAL, and
-every geometry on hosts without a C compiler.
+LAZY and multi-bank PARTIAL update read the prediction before training,
+so their transitions are not clamped-add maps; they run on the native C
+walk (:mod:`repro.sim.native`), or the vectorized loop without a C
+compiler.  The native walk also outranks this module for every family
+both express; the scan tier remains the fastest path for agree and for
+the always-update families on hosts without a C compiler.
 
 Like the vectorized engine, index streams assume the predictor starts
 with a fresh (all-zero) history register — the state a newly
@@ -133,7 +113,6 @@ from repro.sim.vectorized import (
     _final_history,
     _gshare_stream,
     _index_streams,
-    _run_plan,
 )
 from repro.sim.vectorized import supports as _vector_supports
 from repro.traces.trace import Trace
@@ -272,7 +251,6 @@ def _run_level_scan(
     max_value: int,
     events: int,
     timer: StageTimer,
-    group_bounds: Optional[np.ndarray] = None,
 ) -> _RunScan:
     """Map composition over an already run-length-encoded event stream.
 
@@ -281,15 +259,6 @@ def _run_level_scan(
     table entry.  ``taken_sorted`` is carried through for callers that
     later expand per-event predictions; pure-wrongness consumers pass
     None.
-
-    ``group_bounds`` (optional, ascending run indices from 0 to
-    ``runs``) splits the doubling sweeps by independent table: fused
-    grids pass their per-block run ranges so each group stops at *its
-    own* anchoring depth instead of the global maximum — one dense
-    little table no longer drags every other cell through its deep
-    levels.  Boundaries must coincide with key changes (block starts
-    do), which makes skipping a finished group exactly the work the
-    segment guard would have discarded.
     """
     runs = len(run_starts)
     with timer.stage("scan"):
@@ -319,15 +288,7 @@ def _run_level_scan(
             new_seg | (run_len >= max_value), position, np.int32(-1)
         )
         np.maximum.accumulate(anchored, out=anchored)
-        gaps = position - anchored
-        group_levels: Optional[np.ndarray] = None
-        if group_bounds is not None and len(group_bounds) > 2:
-            group_levels = (
-                np.maximum.reduceat(gaps, group_bounds[:-1]) + 1
-            )
-            levels_needed = int(group_levels.max())
-        else:
-            levels_needed = int(gaps.max()) + 1
+        levels_needed = int((position - anchored).max()) + 1
 
         # Segmented Hillis-Steele scan: after the pass at distance d,
         # maps[:, i] composes runs (i-2d, i] of i's segment; the equality
@@ -345,42 +306,16 @@ def _run_level_scan(
         clamp = max_value + 2 * levels_needed * cap > limit
         offset = 1
 
-        def _sweep(a: int, b: int) -> None:
-            # Runs [a, a + offset) would compose with a previous group
-            # (key mismatch: the guard discards it), so the tail slice
-            # starting at a + offset is the exact full-array update.
-            if b - a <= offset:
-                return
-            tail = maps[:, a + offset : b]
-            composed = maps[:, a : b - offset] + tail[0]
+        while offset < levels_needed:
+            tail = maps[:, offset:]
+            composed = maps[:, :-offset] + tail[0]
             if clamp:
                 np.maximum(composed[0], -cap, out=composed[0])
                 np.minimum(composed[0], cap, out=composed[0])
             np.maximum(composed[1:], tail[1], out=composed[1:])
             np.minimum(composed[1:], tail[2], out=composed[1:])
-            same = run_key[a + offset : b] == run_key[a : b - offset]
+            same = run_key[offset:] == run_key[:-offset]
             np.copyto(tail, composed, where=same)
-
-        while offset < levels_needed:
-            if group_levels is None:
-                _sweep(0, runs)
-            else:
-                # Passes past a group's own depth only re-compose maps
-                # beyond its anchors — function-preserving by the same
-                # argument that bounds levels_needed — so restricting
-                # each pass to the still-deepening groups (merged into
-                # contiguous slices) changes no downstream value.
-                act = np.flatnonzero(group_levels > offset)
-                i = 0
-                while i < len(act):
-                    j = i
-                    while j + 1 < len(act) and act[j + 1] == act[j] + 1:
-                        j += 1
-                    _sweep(
-                        int(group_bounds[act[i]]),
-                        int(group_bounds[act[j] + 1]),
-                    )
-                    i = j + 1
             offset <<= 1
 
         # Exclusive stage: the counter entering run i is the composed map
@@ -445,23 +380,16 @@ def _wrong_grouped_positions(scan: _RunScan, threshold: int) -> np.ndarray:
     small fraction of events), so downstream reductions on this array
     touch far less memory than an events-sized wrongness vector.
     """
-    return _spans_to_grouped(scan.run_starts, _wrong_spans(scan, threshold))
-
-
-def _spans_to_grouped(run_starts: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """Enumerate grouped positions of per-run prefix intervals.
-
-    Expands each run's ``[run_start, run_start + span)`` interval into
-    explicit grouped positions — the sparse-enumeration core shared by
-    ``_wrong_grouped_positions`` and the coupled-policy vote recount.
-    """
+    span = _wrong_spans(scan, threshold)
     live = np.flatnonzero(span)
     if not len(live):
         return np.empty(0, dtype=np.int64)
     live_spans = span[live]
     bounds = np.cumsum(live_spans)
     grouped = np.arange(int(bounds[-1]), dtype=np.int64)
-    grouped += np.repeat(run_starts[live] + live_spans - bounds, live_spans)
+    grouped += np.repeat(
+        scan.run_starts[live] + live_spans - bounds, live_spans
+    )
     return grouped
 
 
@@ -478,8 +406,7 @@ def _packed_runs(packed: np.ndarray, shift: int, timer: StageTimer):
     Runs break where anything but the position changes: the key bits
     (``>= shift``) or the outcome bit (bit 0).  Returns ``(run_key,
     run_tak, run_len, run_starts)`` with the key and outcome extracted
-    from each run's first word — no permutation gathers.  Works on any
-    unsigned word width (the fused grid kernel packs uint64).
+    from each run's first word — no permutation gathers.
     """
     m = len(packed)
     word = packed.dtype.type
@@ -496,239 +423,6 @@ def _packed_runs(packed: np.ndarray, shift: int, timer: StageTimer):
         run_tak = (first_words & word(1)) != 0
         run_len = np.diff(run_starts, append=m)
     return run_key, run_tak, run_len, run_starts
-
-
-# -- the map-code monoid (coupled update policies) --------------------------
-#
-# PARTIAL and LAZY runs are not clamped-add maps (a bank may freeze while
-# its entry's other events train), but they are still *monotone maps on a
-# tiny domain*: with at most 2-bit counters every per-run transition is a
-# function {0..3} -> {0..3}, encodable in one byte (2 bits per input
-# value).  Composition becomes a 64 KiB table lookup, so the same
-# segmented Hillis-Steele machinery scans them — just with byte codes
-# instead of (a, lo, hi) triples.
-
-#: codes hold four 2-bit output values, so only 1/2-bit counters (the
-#: paper's only widths) take the coupled scan
-_MAX_COUPLED_COUNTER_BITS = 2
-
-#: events per checkpointed fixpoint block (see ``_scan_coupled``): the
-#: vote-wrongness iteration converges by *prefix extension* — a wrong
-#: guess perturbs every later vote reachable through a sensitivity
-#: chain, and measured chains run ~3-5k events on the IBS workloads —
-#: so iterating whole traces needs O(n / chain) rounds.  Blocks a bit
-#: longer than a chain converge in 2-3 local rounds from their exact
-#: entering state, making total work linear in the trace.
-_COUPLED_BLOCK = 8192
-
-#: local rounds one block may take before the driver abandons the scan
-#: and falls back to the exact sequential loop (prefix extension
-#: guarantees convergence within the block length; the cap only trips
-#: on adversarial traces whose sensitivity chains out-run it)
-_COUPLED_ROUND_LIMIT = 64
-
-#: max events per bank entry for the coupled PARTIAL fixpoint to claim a
-#: cell.  Sensitivity chains grow with aliasing density, so rounds per
-#: block scale with events/entry: measured per-cell on IBS groff
-#: (n=96473), gskew 3x4096 (24 ev/entry) takes ~4 rounds/block and
-#: matches the sequential loop, 3x1024 (94) is ~1.7x slower than the
-#: loop, and 3x64 (1507) is ~36 rounds/block — 10x slower.  Below this
-#: density the scan wins or ties and fused grids amortise the rest;
-#: above it the vectorized loop is strictly faster, so dense cells keep
-#: that tier.
-_MAX_PARTIAL_DENSITY = 64
-
-#: lazily built composition / constancy LUTs (see ``_code_tables``)
-_CODE_LUTS: "dict[str, np.ndarray]" = {}
-
-
-def _code_tables() -> "tuple[np.ndarray, np.ndarray]":
-    """LUTs for the 4-state map-code monoid, built once per process.
-
-    A code packs a map ``f: {0..3} -> {0..3}`` as four 2-bit fields
-    (``f(v)`` at bits ``2v``).  Returns ``(compose, is_const)`` where
-    ``compose[a | b << 8]`` is the code of "apply ``a`` then ``b``"
-    (65536 bytes) and ``is_const[a]`` flags constant maps — the
-    absorbing anchors of the segmented scan.
-    """
-    if not _CODE_LUTS:
-        codes = np.arange(256, dtype=np.uint16)
-        # fields[code, v] = the code's output for input value v
-        fields = np.stack(
-            [(codes >> np.uint16(2 * v)) & 3 for v in range(4)], axis=1
-        ).astype(np.uint8)
-        # then_b[b, a, v] = fields[b, fields[a, v]]  ("a then b")
-        then_b = fields[:, fields]
-        compose = (
-            then_b[..., 0]
-            | (then_b[..., 1] << 2)
-            | (then_b[..., 2] << 4)
-            | (then_b[..., 3] << 6)
-        ).astype(np.uint8)
-        # C-order flattening puts "a then b" at index b * 256 + a,
-        # exactly the ``a | b << 8`` lookup the scan builds.
-        flat = compose.reshape(-1)
-        is_const = (
-            (fields[:, 0] == fields[:, 1])
-            & (fields[:, 0] == fields[:, 2])
-            & (fields[:, 0] == fields[:, 3])
-        )
-        flat.setflags(write=False)
-        is_const.setflags(write=False)
-        _CODE_LUTS["compose"] = flat
-        _CODE_LUTS["const"] = is_const
-    return _CODE_LUTS["compose"], _CODE_LUTS["const"]
-
-
-def _pack_fields(fields: np.ndarray) -> np.ndarray:
-    """Pack a (4, runs) output-value matrix into map codes."""
-    code = fields[0].astype(np.uint8)
-    code |= fields[1].astype(np.uint8) << np.uint8(2)
-    code |= fields[2].astype(np.uint8) << np.uint8(4)
-    code |= fields[3].astype(np.uint8) << np.uint8(6)
-    return code
-
-
-def _coupled_run_codes(
-    run_tak: np.ndarray,
-    run_w: np.ndarray,
-    run_len: np.ndarray,
-    threshold: int,
-    max_value: int,
-) -> np.ndarray:
-    """PARTIAL map codes for maximal (entry, outcome, vote-wrong) runs.
-
-    Within such a run the bank's transition is closed-form: when the
-    overall vote is wrong (``run_w``) PARTIAL trains every bank, a
-    clamped add of the (capped) run length; when the vote is right it
-    trains exactly the banks whose own prediction agrees — and an
-    agreeing counter moving toward the outcome keeps agreeing, so the
-    whole run either trains or freezes.  Run lengths are capped at
-    4 >= max_value, past which every map here is already saturated.
-    """
-    capped = np.minimum(run_len, 4).astype(np.int16)
-    v0 = np.minimum(np.arange(4, dtype=np.int16), max_value)[:, None]
-    up = np.minimum(v0 + capped, np.int16(max_value))
-    down = np.maximum(v0 - capped, np.int16(0))
-    trained = np.where(run_tak, up, down)
-    agrees = (v0 >= threshold) == run_tak
-    untrained = np.where(agrees, trained, v0)
-    return _pack_fields(np.where(run_w, trained, untrained))
-
-
-def _lazy_single_run_codes(
-    run_tak: np.ndarray,
-    run_len: np.ndarray,
-    threshold: int,
-    max_value: int,
-) -> np.ndarray:
-    """Map codes for single-bank LAZY (entry, outcome) runs.
-
-    With one bank the overall vote *is* the bank's prediction, so
-    "train on a miss" needs no fixpoint: a run trains while the counter
-    still predicts against the run direction and freezes the moment it
-    crosses — taken runs climb to ``threshold`` and stop, not-taken
-    runs fall to ``threshold - 1`` and stop.
-    """
-    capped = np.minimum(run_len, 4).astype(np.int16)
-    v0 = np.minimum(np.arange(4, dtype=np.int16), max_value)[:, None]
-    predicts_taken = v0 >= threshold
-    # an agreeing run never trains; a disagreeing run walks to the
-    # threshold boundary and freezes there
-    up = np.where(
-        predicts_taken, v0, np.minimum(v0 + capped, np.int16(threshold))
-    )
-    down = np.where(
-        predicts_taken,
-        np.maximum(v0 - capped, np.int16(threshold - 1)),
-        v0,
-    )
-    return _pack_fields(np.where(run_tak, up, down))
-
-
-def _code_scan(
-    run_key: np.ndarray, codes: np.ndarray, new_seg: np.ndarray
-) -> None:
-    """Segmented inclusive Hillis-Steele over map codes, in place.
-
-    The mirror of ``_run_level_scan``'s sweep with LUT composition in
-    place of clamped-add arithmetic: after the pass at distance ``d``,
-    ``codes[i]`` composes runs ``(i - 2d, i]`` of ``i``'s segment.
-    Constant codes absorb exactly like saturated clamped-add runs, so
-    the doubling depth is again the longest gap back to a constant run
-    or segment start.
-    """
-    compose, is_const = _code_tables()
-    runs = len(codes)
-    position = _positions(runs)
-    anchored = np.where(new_seg | is_const[codes], position, np.int32(-1))
-    np.maximum.accumulate(anchored, out=anchored)
-    levels_needed = int((position - anchored).max()) + 1
-    offset = 1
-    while offset < levels_needed:
-        tail = codes[offset:]
-        index = tail.astype(np.uint16)
-        index <<= np.uint16(8)
-        np.bitwise_or(index, codes[:-offset], out=index)
-        same = run_key[offset:] == run_key[:-offset]
-        np.copyto(tail, compose[index], where=same)
-        offset <<= 1
-
-
-def _code_pre_and_finals(
-    run_key: np.ndarray,
-    codes: np.ndarray,
-    new_seg: np.ndarray,
-    values: np.ndarray,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Exclusive stage of a code scan: run entry values + final state.
-
-    ``codes`` must already be inclusively scanned.  Applying a code is
-    one shift-and-mask (``(code >> 2v) & 3``); the counter entering run
-    ``i`` applies run ``i - 1``'s prefix composition to the entry's
-    starting value, and each segment's last run holds the composition
-    that produces the entry's final counter.
-    """
-    runs = len(codes)
-    entry_start = values[run_key].astype(np.uint8)
-    run_pre = np.empty(runs, dtype=np.int16)
-    run_pre[0] = entry_start[0]
-    applied = (codes[:-1] >> (entry_start[1:] << np.uint8(1))) & np.uint8(3)
-    run_pre[1:] = np.where(new_seg[1:], entry_start[1:], applied)
-    last_of_seg = np.empty(runs, dtype=bool)
-    last_of_seg[:-1] = new_seg[1:]
-    last_of_seg[-1] = True
-    closing = (
-        codes[last_of_seg] >> (entry_start[last_of_seg] << np.uint8(1))
-    ) & np.uint8(3)
-    final_values = values.copy()
-    final_values[run_key[last_of_seg]] = closing
-    return run_pre, final_values
-
-
-def _coupled_wrong_spans(
-    run_tak: np.ndarray,
-    run_w: np.ndarray,
-    run_len: np.ndarray,
-    run_pre: np.ndarray,
-    threshold: int,
-) -> np.ndarray:
-    """Per-run count of *bank-wrong* events under coupled dynamics.
-
-    Vote-wrong runs train every bank toward the outcome, so the usual
-    crossing formula applies (``_wrong_spans``).  Vote-right runs never
-    move a counter across the threshold (PARTIAL trains only counters
-    already on the outcome's side; LAZY freezes), so the bank's
-    prediction is constant: wrong for the whole run or not at all.
-    """
-    pre = run_pre.astype(np.int32)
-    span = np.where(
-        run_tak, np.int32(threshold) - pre, pre - np.int32(threshold - 1)
-    )
-    np.minimum(span, run_len, out=span)
-    np.maximum(span, np.int32(0), out=span)
-    steady_wrong = (pre >= threshold) != run_tak
-    return np.where(run_w, span, run_len * steady_wrong)
 
 
 def _crossings(scan: _RunScan, threshold: int) -> np.ndarray:
@@ -878,20 +572,19 @@ def _pack_bank_blocks(
     outcomes: np.ndarray,
     shift: int,
     entry_bits: int,
-    dtype: type,
 ) -> np.ndarray:
-    """Pack and sort per-bank ``tag | key | position | outcome`` words.
+    """Pack and sort per-bank ``tag | key | position | outcome`` uint32
+    words.
 
     Each bank's events occupy one contiguous block, sorted *in place*
     as composite words: the position bits make the words distinct, so
     an unstable sort yields exactly the stable grouped order, and key,
     outcome and original position all shift back out of the sorted
-    words.  The caller picks the word width (``np.uint32`` when
-    ``key_bits + shift <= 32``, ``np.uint64`` otherwise — the coupled
-    and fused kernels need the wider words for long traces).  The
-    tagged key fits the bits above ``shift`` by the caller's width
-    check, so the down-cast is exact.
+    words.  The tagged key fits the bits above ``shift`` by the
+    caller's ``key_bits + shift <= 32`` check, so the down-cast is
+    exact.
     """
+    dtype = np.uint32
     n = len(outcomes)
     low_word = np.empty(n, dtype=dtype)
     np.left_shift(_positions(n), 1, out=low_word, casting="unsafe")
@@ -953,9 +646,7 @@ def _scan_voted(
     shift = max(1, (n - 1).bit_length()) + 1  # position | outcome field
     if key_bits + shift <= 32:
         with timer.stage("argsort"):
-            packed = _pack_bank_blocks(
-                streams, outcomes, shift, entry_bits, np.uint32
-            )
+            packed = _pack_bank_blocks(streams, outcomes, shift, entry_bits)
         run_key, run_tak, run_len, run_starts = _packed_runs(
             packed, shift, timer
         )
@@ -1018,229 +709,6 @@ def _scan_voted(
         final = scan.final_values
         for b, bank in enumerate(banks):
             bank.counters.values[:] = final[
-                b * entries : (b + 1) * entries
-            ].tolist()
-    return misses
-
-
-def _scan_single_lazy(
-    counters,
-    stream: np.ndarray,
-    key_bits: int,
-    outcomes: np.ndarray,
-    warmup: int,
-    timer: StageTimer,
-) -> int:
-    """Single-bank LAZY skewed predictor: train-on-miss map-code scan.
-
-    The transition reads the prediction, so it is not a clamped-add
-    map, but it *is* a monotone map on a 2-bit domain (see
-    ``_lazy_single_run_codes``), and with one bank there is no vote
-    coupling: one code scan, no fixpoint.  Mispredicted events are the
-    usual crossing prefix — the counter trains precisely while it still
-    predicts against the run direction.
-    """
-    values = np.asarray(counters.values, dtype=np.int64)
-    threshold = counters.threshold
-    n = len(outcomes)
-    shift = max(1, (n - 1).bit_length()) + 1
-    order = None
-    if key_bits + shift <= 32:
-        with timer.stage("argsort"):
-            packed = _pack_bank_blocks(
-                [stream], outcomes, shift, key_bits, np.uint32
-            )
-        run_key, run_tak, run_len, run_starts = _packed_runs(
-            packed, shift, timer
-        )
-    else:
-        # Wide geometry: permutation grouping (the explicit order
-        # doubles as the event positions for warmup scoring).
-        if key_bits <= 16:
-            stream = stream.astype(np.uint16, copy=False)
-        elif stream.dtype != np.uint32:
-            stream = stream.astype(np.uint32)
-        with timer.stage("argsort"):
-            order = _group_order(stream, key_bits)
-            key_s = stream[order]
-            tak_s = outcomes[order]
-        with timer.stage("scan"):
-            new_run = np.empty(n, dtype=bool)
-            new_run[0] = True
-            np.logical_or(
-                key_s[1:] != key_s[:-1],
-                tak_s[1:] != tak_s[:-1],
-                out=new_run[1:],
-            )
-            run_starts = np.flatnonzero(new_run)
-            run_key = key_s[run_starts]
-            run_tak = tak_s[run_starts]
-            run_len = np.diff(run_starts, append=n)
-
-    with timer.stage("scan"):
-        runs = len(run_starts)
-        new_seg = np.empty(runs, dtype=bool)
-        new_seg[0] = True
-        np.not_equal(run_key[1:], run_key[:-1], out=new_seg[1:])
-        codes = _lazy_single_run_codes(
-            run_tak, run_len, threshold, counters.max_value
-        )
-        _code_scan(run_key, codes, new_seg)
-        run_pre, final_values = _code_pre_and_finals(
-            run_key, codes, new_seg, values
-        )
-
-    with timer.stage("reduce"):
-        pre = run_pre.astype(np.int32)
-        span = np.where(
-            run_tak, np.int32(threshold) - pre, pre - np.int32(threshold - 1)
-        )
-        np.minimum(span, run_len, out=span)
-        np.maximum(span, np.int32(0), out=span)
-        if warmup == 0:
-            misses = int(span.sum())
-        else:
-            grouped = _spans_to_grouped(run_starts, span)
-            if order is None:
-                wrong_events = (
-                    packed[grouped] & np.uint32((1 << shift) - 2)
-                ) >> np.uint32(1)
-            else:
-                wrong_events = order[grouped]
-            misses = int(np.count_nonzero(wrong_events >= warmup))
-        counters.values[:] = final_values.tolist()
-    return misses
-
-
-def _scan_coupled(
-    predictor: SkewedPredictor,
-    streams: List[np.ndarray],
-    outcomes: np.ndarray,
-    warmup: int,
-    timer: StageTimer,
-) -> Optional[int]:
-    """Multi-bank PARTIAL skewed predictor: vote-wrongness fixpoint.
-
-    Under this policy whether a bank trains at event ``i`` depends on
-    the overall vote at ``i`` — the coupling that rules out independent
-    per-entry scans.  But *given* the per-event vote-wrongness vector
-    ``w``, every bank decomposes again: runs break at (entry, outcome,
-    ``w``) changes and each run's transition is a closed-form monotone
-    map (``_coupled_run_codes``).  Let ``F(w)`` be the wrongness vector
-    recomputed from those per-bank scans.  ``F`` is *causal* —
-    ``F(w)[i]`` reads only counters trained at events before ``i``, so
-    it depends only on ``w[:i]`` — hence ``F`` has exactly one fixpoint,
-    the true trajectory, and Jacobi iteration ``w <- F(w)`` converges:
-    if ``w`` is correct on a prefix, ``F(w)`` is correct on a strictly
-    longer one.  Counter saturation erases wrong-tail state differences
-    much faster than that worst case; the iteration starts from
-    all-wrong (whose first round reproduces TOTAL dynamics, a strong
-    guess for the true vote stream) and settles in a handful of rounds.
-
-    A wrong guess at event ``i`` perturbs every later vote reachable
-    through a sensitivity chain, so whole-trace iteration converges at
-    the chain rate — O(n) rounds in the worst case.  The driver instead
-    *checkpoints*: the trace is cut into ``_COUPLED_BLOCK``-event
-    blocks, each iterated to its local fixpoint from the exact counter
-    state the previous blocks produced.  Chains rarely outlive a block,
-    so each block settles in 2-3 rounds and total work stays linear.
-
-    Returns the misprediction count, or None when some block did not
-    settle within ``_COUPLED_ROUND_LIMIT`` rounds (the caller falls
-    back to the exact sequential loop).
-    """
-    banks = predictor.banks
-    bank_count = len(banks)
-    entry_bits = predictor.bank_index_bits
-    entries = 1 << entry_bits
-    counters = banks[0].counters
-    threshold = counters.threshold
-    max_value = counters.max_value
-    majority = bank_count // 2 + 1
-    n = len(outcomes)
-    tag_bits = (bank_count - 1).bit_length()
-    key_bits = entry_bits + tag_bits
-
-    with timer.stage("precompute"):
-        values = np.concatenate(
-            [np.asarray(bank.counters.values, dtype=np.int64) for bank in banks]
-        )
-
-    w_full = np.empty(n, dtype=bool)
-    for lo in range(0, n, _COUPLED_BLOCK):
-        hi = min(lo + _COUPLED_BLOCK, n)
-        nb = hi - lo
-        mb = bank_count * nb
-        block_outcomes = outcomes[lo:hi]
-        shift = max(1, (nb - 1).bit_length()) + 1
-        dtype = np.uint32 if key_bits + shift <= 32 else np.uint64
-
-        with timer.stage("argsort"):
-            packed = _pack_bank_blocks(
-                [s[lo:hi] for s in streams],
-                block_outcomes,
-                shift,
-                entry_bits,
-                dtype,
-            )
-        with timer.stage("scan"):
-            gkey_s = packed >> dtype(shift)
-            tak_s = (packed & dtype(1)) != 0
-            pos_s = (
-                (packed >> dtype(1)) & dtype((1 << (shift - 1)) - 1)
-            ).astype(np.int64)
-            # Boundaries at (bank, entry, outcome) changes; each round
-            # ORs in the current guess's w-changes.
-            base_break = np.empty(mb, dtype=bool)
-            base_break[0] = True
-            delta = packed[1:] ^ packed[:-1]
-            keep = dtype(~((1 << shift) - 2) & np.iinfo(dtype).max)
-            np.bitwise_and(delta, keep, out=delta)
-            np.not_equal(delta, dtype(0), out=base_break[1:])
-
-        w = np.ones(nb, dtype=bool)
-        for _ in range(_COUPLED_ROUND_LIMIT):
-            with timer.stage("scan"):
-                w_s = w[pos_s]
-                new_run = base_break.copy()
-                np.logical_or(
-                    new_run[1:], w_s[1:] != w_s[:-1], out=new_run[1:]
-                )
-                run_starts = np.flatnonzero(new_run)
-                run_len = np.diff(run_starts, append=mb)
-                run_key = gkey_s[run_starts]
-                run_tak = tak_s[run_starts]
-                run_w = w_s[run_starts]
-                runs = len(run_starts)
-                new_seg = np.empty(runs, dtype=bool)
-                new_seg[0] = True
-                np.not_equal(run_key[1:], run_key[:-1], out=new_seg[1:])
-                codes = _coupled_run_codes(
-                    run_tak, run_w, run_len, threshold, max_value
-                )
-                _code_scan(run_key, codes, new_seg)
-                run_pre, final_values = _code_pre_and_finals(
-                    run_key, codes, new_seg, values
-                )
-            with timer.stage("reduce"):
-                span = _coupled_wrong_spans(
-                    run_tak, run_w, run_len, run_pre, threshold
-                )
-                grouped = _spans_to_grouped(run_starts, span)
-                wrong_banks = np.bincount(pos_s[grouped], minlength=nb)
-                w_new = wrong_banks >= majority
-                if np.array_equal(w_new, w):
-                    break
-                w = w_new
-        else:
-            return None  # block did not settle; caller runs the loop
-        w_full[lo:hi] = w
-        values = final_values  # exact state entering the next block
-
-    with timer.stage("reduce"):
-        misses = int(np.count_nonzero(w_full[warmup:]))
-        for b, bank in enumerate(banks):
-            bank.counters.values[:] = values[
                 b * entries : (b + 1) * entries
             ].tolist()
     return misses
@@ -1326,15 +794,14 @@ def _scan_agree(
 def scan_supports(predictor: BranchPredictor, trace: Trace) -> bool:
     """True if ``predictor`` has a scan fast path over ``trace``.
 
-    Every index-expressible family except multi-bank LAZY:
-    bimodal/gshare/gselect/agree, skewed/e-gskew under TOTAL (the
-    clamped-add kernel), multi-bank PARTIAL (the map-code fixpoint
-    kernel) and single-bank LAZY (the map-code scan), the code-based
-    paths restricted to the map-code domain (1/2-bit counters).  All
-    within the kernel's key-width (32-bit) and counter-width (int16
-    monoid) bounds, which every paper configuration satisfies by
-    orders of magnitude.  See the module docstring for why multi-bank
-    LAZY keeps the sequential loop.
+    The always-update families — bimodal/gshare/gselect/agree, skewed/
+    e-gskew under TOTAL, and single-bank skewed under PARTIAL (with one
+    bank the vote is the bank's own prediction, so PARTIAL trains on
+    every branch) — within the kernel's key-width (32-bit) and
+    counter-width (int16 monoid) bounds, which every paper
+    configuration satisfies by orders of magnitude.  LAZY and
+    multi-bank PARTIAL read the prediction before training, so they
+    keep the native walk or the sequential loop.
     """
     kind = type(predictor)
     if kind is BimodalPredictor:
@@ -1357,41 +824,18 @@ def scan_supports(predictor: BranchPredictor, trace: Trace) -> bool:
     if kind in (SkewedPredictor, EnhancedSkewedPredictor):
         if not _vector_supports(predictor, trace):
             return False
-        counters = predictor.banks[0].counters
-        if counters.bits > _MAX_COUNTER_BITS:
-            return False
         bank_count = len(predictor.banks)
+        policy = predictor.update_policy
+        if not (
+            policy is UpdatePolicy.TOTAL
+            or (bank_count == 1 and policy is UpdatePolicy.PARTIAL)
+        ):
+            return False
         tag_bits = (bank_count - 1).bit_length()
-        if predictor.bank_index_bits + tag_bits > _MAX_KEY_BITS:
-            return False
-        if bank_count == 1:
-            if predictor.update_policy is UpdatePolicy.LAZY:
-                # train-on-miss: map-code scan, 2-bit domain only
-                return counters.bits <= _MAX_COUPLED_COUNTER_BITS
-            return True
-        if predictor.update_policy is UpdatePolicy.TOTAL:
-            return True
-        if predictor.update_policy is UpdatePolicy.LAZY:
-            # Multi-bank LAZY counters freeze on every correct vote, so
-            # a wrong fixpoint guess is *never* washed out by later
-            # training — measured sensitivity chains run ~10x longer
-            # than PARTIAL's and the blocked iteration stops paying.
-            # The loop keeps this (non-headline) family.
-            return False
-        # Multi-bank PARTIAL: the vote-wrongness fixpoint kernel needs
-        # the map-code monoid (2-bit counters) and the packed-word
-        # layout — event positions ride in the sorted words, so the
-        # tagged key plus the position|outcome field must fit a word.
-        # It also needs low aliasing density: fixpoint rounds scale with
-        # events per entry (see _MAX_PARTIAL_DENSITY), so dense cells
-        # stay on the vectorized loop, which beats the scan there.
-        if counters.bits > _MAX_COUPLED_COUNTER_BITS:
-            return False
-        n = len(_cond_takens(trace))
-        if n > _MAX_PARTIAL_DENSITY << predictor.bank_index_bits:
-            return False
-        shift = max(1, (min(n, _COUPLED_BLOCK) - 1).bit_length()) + 1
-        return predictor.bank_index_bits + tag_bits + shift <= 64
+        return (
+            predictor.banks[0].counters.bits <= _MAX_COUNTER_BITS
+            and predictor.bank_index_bits + tag_bits <= _MAX_KEY_BITS
+        )
     return False
 
 
@@ -1450,35 +894,13 @@ def simulate_scan(
                 if hasattr(predictor, "index_bits")
                 else predictor.bank_index_bits
             )
-            if (
-                hasattr(predictor, "banks")
-                and predictor.update_policy is UpdatePolicy.LAZY
-            ):
-                mispredictions = _scan_single_lazy(
-                    bank.counters, streams[0], key_bits, outcomes, warmup,
-                    timer,
-                )
-            else:
-                mispredictions = _scan_single_table(
-                    bank.counters, streams[0], key_bits, outcomes, warmup,
-                    timer,
-                )
-        elif predictor.update_policy is UpdatePolicy.TOTAL:
+            mispredictions = _scan_single_table(
+                bank.counters, streams[0], key_bits, outcomes, warmup, timer
+            )
+        else:
             mispredictions = _scan_voted(
                 predictor, streams, outcomes, warmup, timer
             )
-        else:
-            mispredictions = _scan_coupled(
-                predictor, streams, outcomes, warmup, timer
-            )
-            if mispredictions is None:
-                # The fixpoint hit its round cap (adversarial traces
-                # only); the sequential loop is exact and mutates the
-                # same predictor state, so the result contract holds.
-                with timer.stage("counter_loop"):
-                    _, mispredictions = _run_plan(
-                        predictor, streams, outcomes.tolist(), warmup
-                    )
 
     if history is not None and history.bits:
         with timer.stage("reduce"):

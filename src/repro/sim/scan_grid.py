@@ -1,923 +1,26 @@
-"""Fused sweep-grid scan engine: one grouped pass per (bucket x trace).
+"""Sweep-grid convenience: many predictor specs over one trace.
 
-A sweep grid (Figures 5-8, 12) evaluates many predictor specs over the
-*same* trace, and the per-cell scan engine (:mod:`repro.sim.scan`)
-re-packs, re-sorts and re-reduces that trace for every cell — dozens of
-numpy dispatches per cell whose fixed cost dominates once the kernel
-itself runs at tens of millions of branches per second.  This module
-amortises that fixed cost across the grid: cells that share transition
-*dynamics* are fused into one kernel invocation whose arrays span every
-(config, bank) table at once.
-
-The fusion layout
------------------
-
-Every fusable cell contributes one *block* per bank: the bank's
-``key | position | outcome`` words, packed exactly like the per-cell
-kernel and sorted in place (the position bits keep words distinct, so
-the unstable in-place sort is a stable grouping).  Blocks are laid out
-back to back in one flat array — config-major, so each cell's blocks
-are contiguous — which makes the whole-grid pass structurally identical
-to one big per-cell pass:
-
-* runs never cross a block boundary (a forced run break at each block
-  start keeps independent tables independent even when their *local*
-  keys collide);
-* run keys are globalised by adding each block's cumulative entry
-  offset (``config_id | bank | key`` realised as disjoint integer
-  ranges), so the segmented Hillis-Steele sweeps, the exclusive stage
-  and the final-state scatter of the per-cell kernel run *unchanged* on
-  the fused arrays;
-* per-cell reductions exploit that grouped wrong events stay sorted by
-  flat position: one ``searchsorted`` slices the sparse wrong-event
-  enumeration into per-cell ranges (span sums for single tables,
-  majority bincounts for voted banks).
-
-Cells are bucketed by ``(kernel kind, threshold, max_value)`` — the
-parameters the run maps actually read:
-
-``add``
-    every always-update family (bimodal / gshare / gselect, single-bank
-    non-LAZY skewed, multi-bank TOTAL skewed / e-gskew): clamped-add
-    maps, any counter width the int16 monoid covers.  Mixed table
-    sizes, schemes and bank counts fuse freely.
-``lazy1``
-    single-bank LAZY skewed: train-on-miss map codes (2-bit domain).
-``partial``
-    multi-bank PARTIAL skewed / e-gskew: the vote-wrongness fixpoint of
-    :func:`repro.sim.scan._scan_coupled`, batched so one checkpointed
-    block iteration steps *every* config at once — the per-event
-    wrongness vector becomes a flat (config x event) vector, the vote
-    recount one bincount over it, and per-config majorities (3-bank and
-    5-bank cells fuse together) a broadcast compare.  A config that was
-    overhead-bound alone shares each round's fixed cost with the whole
-    bucket, and each config *drops out* the round it reaches its own
-    fixpoint (configs never read each other's state), so a
-    slow-converging member costs only its own extra rounds.
-
-When the compiled native backend (:mod:`repro.sim.native`) is
-available, buckets of *every* kind run one C kernel per cell instead of
-the numpy fusion (``add`` via ``repro_scan_sorted``, ``lazy1`` via
-``repro_scan_lazy1``, ``partial`` via the ``repro_scan_partial_round``
-fixpoint driver): the kernels' per-call fixed cost is microseconds, so
-there is nothing left for fusion to amortise, and the sequential walks
-beat the Hillis-Steele sweeps at every trace length — including past
-``_FUSE_MAX_EVENTS``, where the numpy bucket would have fallen back per
-cell.  A ``partial`` cell whose native fixpoint hits the round cap
-bails out exactly like a numpy-fusion bailout: counted in
-``fixpoint_bailouts``, re-run per cell, its counter slice never written
-back.
-
-Anything else — agree (per-event bias expansion), multi-bank LAZY (no
-scan path; see :mod:`repro.sim.scan`), tagged/per-address schemes, or a
-bucket with a single member (nothing to amortise) — falls back to
-per-cell :func:`repro.sim.vectorized.simulate_fast`, so a fused grid
-accepts arbitrary spec mixes.
-
-Results are bit-identical to per-cell ``simulate_fast``: same
-misprediction counts, same final counter values, same final history
-registers (asserted by ``tests/sim/test_scan_grid.py``).  Fused counter
-state is written back only after every bucket has computed, so an
-unexpected kernel failure leaves all fused predictors untouched and the
-caller can re-run the cells individually.  :class:`GridStats` counts
-fused vs fallback cells and kernel dispatches — the
-``fused_cells_per_dispatch`` trajectory ``tools/bench_engine.py``
-records across PRs.
+Kept only because the benchmark's span recorder (``perfbench/tracer.py``)
+wraps :func:`simulate_spec_grid`; it is per-cell ``simulate_fast``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-import numpy as np
-
-from repro.core.update import UpdatePolicy
-from repro.predictors.agree import AgreePredictor
-from repro.predictors.base import BranchPredictor
 from repro.sim.config import make_predictor
 from repro.sim.metrics import SimulationResult
-from repro.sim.profile import NULL_STAGE_TIMER, StageTimer
-from repro.sim.scan import (
-    _COUPLED_BLOCK,
-    _COUPLED_ROUND_LIMIT,
-    _code_pre_and_finals,
-    _code_scan,
-    _coupled_run_codes,
-    _coupled_wrong_spans,
-    _lazy_single_run_codes,
-    _positions,
-    _run_level_scan,
-    _spans_to_grouped,
-    scan_supports,
-)
-from repro.sim.native import (
-    native_available,
-    native_cell_ok,
-    run_lazy1_kernel,
-    run_partial_kernel,
-    run_table_kernel,
-)
-from repro.sim.vectorized import (
-    _cond_takens,
-    _final_history,
-    _index_streams,
-    forced_engine,
-    simulate_fast,
-)
+from repro.sim.vectorized import simulate_fast
 from repro.traces.trace import Trace
 
-__all__ = ["GridStats", "grid_supports", "simulate_grid", "simulate_spec_grid"]
-
-# Fused ``add``/``lazy1`` buckets stop paying above this many events per
-# cell: their flat arrays (blocks x events words, plus the run matrices)
-# grow to tens of MB and fall out of cache, while the per-cell kernel's
-# working set stays L2-resident — measured on Figure-5-shaped grids,
-# fused/per-cell is ~1.2x at 5-16k events, ~1.0-1.15x at 21-30k, and
-# degrades toward ~0.8x by 96k.  PARTIAL buckets are exempt: their cost
-# is dominated by per-round fixed dispatch inside each 8k-event block
-# (already cache-sized), which fusion amortises at every trace length.
-_FUSE_MAX_EVENTS = 32768
-
-
-@dataclass
-class GridStats:
-    """Counters describing how a grid dispatch was fused.
-
-    ``fused_cells`` cells ran inside ``dispatches`` fused kernel
-    invocations; ``fallback_cells`` ran per-cell ``simulate_fast``
-    (unfusable spec, singleton bucket, or a ``fixpoint_bailouts``
-    round-cap abandonment of a single PARTIAL cell).  ``native_cells``
-    counts the subset of ``fused_cells`` whose bucket ran through the
-    compiled C kernel rather than the numpy fusion (each native bucket
-    is still one dispatch).  One instance may accumulate across many
-    :func:`simulate_grid` calls — the sweep runner keeps process-wide
-    totals this way.
-    """
-
-    fused_cells: int = 0
-    fallback_cells: int = 0
-    dispatches: int = 0
-    fixpoint_bailouts: int = 0
-    native_cells: int = 0
-
-    @property
-    def fused_cells_per_dispatch(self) -> float:
-        """Mean cells amortised per fused kernel invocation."""
-        if not self.dispatches:
-            return 0.0
-        return self.fused_cells / self.dispatches
-
-    def as_dict(self) -> Dict[str, float]:
-        """JSON-stable copy (bench reports and the sweep runner)."""
-        return {
-            "fused_cells": self.fused_cells,
-            "fallback_cells": self.fallback_cells,
-            "dispatches": self.dispatches,
-            "fixpoint_bailouts": self.fixpoint_bailouts,
-            "native_cells": self.native_cells,
-            "fused_cells_per_dispatch": round(
-                self.fused_cells_per_dispatch, 2
-            ),
-        }
-
-
-class _CellPlan(NamedTuple):
-    """One fusable cell, classified and stream-precomputed."""
-
-    kind: str  # "add" | "lazy1" | "partial"
-    threshold: int
-    max_value: int
-    entry_bits: int  # per-bank table index width
-    wide: bool  # packed words need uint64 (uint32 otherwise)
-    counters: list  # live per-bank counter objects (writeback targets)
-    streams: List[np.ndarray]  # per-bank index streams
-    majority: int  # votes needed for a wrong overall prediction
-
-
-def _plan_cell(
-    predictor: BranchPredictor, trace: Trace, n: int
-) -> Optional[_CellPlan]:
-    """Classify one cell into a fusion bucket, or None for fallback.
-
-    Reuses :func:`repro.sim.scan.scan_supports` as the gate — the fused
-    kernels are the per-cell scan kernels on concatenated arrays, so
-    fusability and scannability coincide — except agree, whose
-    first-touch bias expansion is per-event and per-config (the shared
-    sort would be the only amortised stage; it keeps its fast per-cell
-    scan path instead).
-    """
-    if not scan_supports(predictor, trace):
-        return None
-    if type(predictor) is AgreePredictor:
-        return None
-    streams = _index_streams(predictor, trace)
-    if streams is None:  # pragma: no cover — scan_supports implies streams
-        return None
-    if hasattr(predictor, "banks"):
-        banks = predictor.banks
-        counters = [bank.counters for bank in banks]
-        entry_bits = predictor.bank_index_bits
-        if len(banks) == 1:
-            kind = (
-                "lazy1"
-                if predictor.update_policy is UpdatePolicy.LAZY
-                else "add"
-            )
-        elif predictor.update_policy is UpdatePolicy.TOTAL:
-            kind = "add"
-        else:  # multi-bank PARTIAL (LAZY has no scan path at all)
-            kind = "partial"
-    else:
-        counters = [predictor.bank.counters]
-        entry_bits = predictor.index_bits
-        kind = "add"
-    # Local keys (not the globalised ones) ride in the packed words, so
-    # the width check is per block: entry index plus position|outcome.
-    # uint64 sorts ~2x slower than uint32 (measured), so wide cells
-    # bucket separately rather than dragging narrow ones to uint64.
-    span = n if kind != "partial" else min(n, _COUPLED_BLOCK)
-    shift = max(1, (span - 1).bit_length()) + 1
-    if entry_bits + shift > 64:
-        return None
-    head = counters[0]
-    return _CellPlan(
-        kind=kind,
-        threshold=head.threshold,
-        max_value=head.max_value,
-        entry_bits=entry_bits,
-        wide=entry_bits + shift > 32,
-        counters=counters,
-        streams=streams,
-        majority=len(counters) // 2 + 1,
-    )
-
-
-def grid_supports(predictor: BranchPredictor, trace: Trace) -> bool:
-    """True if ``predictor`` can join a fused bucket over ``trace``.
-
-    A False cell still simulates inside :func:`simulate_grid` — it just
-    runs per-cell ``simulate_fast`` instead of fusing.
-    """
-    n = len(_cond_takens(trace))
-    return _plan_cell(predictor, trace, max(n, 1)) is not None
-
-
-# -- fused kernels ----------------------------------------------------------
-
-
-def _pack_blocks(
-    block_streams: List[np.ndarray],
-    outcomes: np.ndarray,
-    shift: int,
-    dtype: type,
-    timer: StageTimer,
-    cache: Optional[Dict[tuple, np.ndarray]] = None,
-) -> np.ndarray:
-    """Pack and sort each block's ``key | position | outcome`` words.
-
-    The per-bucket mirror of :func:`repro.sim.scan._pack_bank_blocks`:
-    keys stay *local* (no bank tag), so each block sorts at the
-    narrowest word width the widest member needs; block independence is
-    restored afterwards by forced run breaks and globalised run keys.
-
-    ``cache`` (optional, shared across one grid's buckets) memoises
-    sorted blocks by stream identity: index streams are memoised per
-    trace geometry (:func:`repro.sim.vectorized._index_streams`), so
-    grids whose cells repeat a geometry — counter-width or update-policy
-    series over the same banks — pack and sort each distinct block only
-    once, and repeats are a memcpy (~10x cheaper than the sort).
-    """
-    n = len(outcomes)
-    with timer.stage("argsort"):
-        low_word = np.empty(n, dtype=dtype)
-        np.left_shift(_positions(n), 1, out=low_word, casting="unsafe")
-        np.bitwise_or(low_word, outcomes, out=low_word, casting="unsafe")
-        packed = np.empty(len(block_streams) * n, dtype=dtype)
-        for j, stream in enumerate(block_streams):
-            block = packed[j * n : (j + 1) * n]
-            key = (id(stream), shift, packed.dtype.char)
-            if cache is not None and key in cache:
-                block[:] = cache[key]
-                continue
-            if stream.dtype != packed.dtype:
-                # One narrowing cast beats casting inside left_shift
-                # (ufunc unsafe-casting loops run element-wise).
-                stream = stream.astype(dtype)
-            np.left_shift(stream, dtype(shift), out=block)
-            np.bitwise_or(block, low_word, out=block)
-            block.sort()
-            if cache is not None:
-                cache[key] = block.copy()
-    return packed
-
-
-def _block_runs(
-    packed: np.ndarray,
-    n: int,
-    shift: int,
-    key_base: np.ndarray,
-    timer: StageTimer,
-):
-    """Run-length encode sorted blocks with globalised run keys.
-
-    Runs break where the local key or outcome changes *and* at every
-    block start (independent tables).  ``key_base[j]`` is block ``j``'s
-    cumulative entry offset; adding it to the local run keys realises
-    the ``config | bank | key`` global key space as disjoint integer
-    ranges, which is all the downstream segmented scans need.
-    """
-    m = len(packed)
-    dtype = packed.dtype.type
-    with timer.stage("scan"):
-        new_run = np.empty(m, dtype=bool)
-        new_run[0] = True
-        delta = packed[1:] ^ packed[:-1]
-        keep = dtype(~((1 << shift) - 2) & np.iinfo(packed.dtype).max)
-        np.bitwise_and(delta, keep, out=delta)
-        np.not_equal(delta, dtype(0), out=new_run[1:])
-        new_run[n::n] = True
-        run_starts = np.flatnonzero(new_run)
-        first_words = packed[run_starts]
-        run_tak = (first_words & dtype(1)) != 0
-        run_key = (first_words >> dtype(shift)).astype(np.int64)
-        run_key += key_base[run_starts // n]
-        run_len = np.diff(run_starts, append=m)
-    return run_key, run_tak, run_len, run_starts
-
-
-def _bucket_layout(plans: List[_CellPlan]):
-    """Flatten a bucket's cells into config-major (cell, bank) blocks.
-
-    Returns ``(block_streams, key_base, cell_first_block, values)``:
-    per-block index streams, cumulative entry offsets (``key_base[j]``
-    is where block ``j``'s counters start in ``values``), each cell's
-    first block index, and the concatenated starting counters.
-    """
-    block_streams: List[np.ndarray] = []
-    block_entries: List[int] = []
-    cell_first_block = [0]
-    for plan in plans:
-        for stream in plan.streams:
-            block_streams.append(stream)
-            block_entries.append(1 << plan.entry_bits)
-        cell_first_block.append(len(block_streams))
-    key_base = np.zeros(len(block_streams) + 1, dtype=np.int64)
-    np.cumsum(block_entries, out=key_base[1:])
-    values = np.concatenate(
-        [
-            np.asarray(counters.values, dtype=np.int64)
-            for plan in plans
-            for counters in plan.counters
-        ]
-    )
-    return block_streams, key_base, cell_first_block, values
-
-
-def _fused_independent(
-    kind: str,
-    plans: List[_CellPlan],
-    outcomes: np.ndarray,
-    threshold: int,
-    max_value: int,
-    warmup: int,
-    timer: StageTimer,
-    cache: Optional[Dict[tuple, np.ndarray]] = None,
-) -> Tuple[List[int], np.ndarray, np.ndarray]:
-    """Fused pass over independent-FSM cells (``add`` / ``lazy1``).
-
-    One pack + per-block sort, one run encoding, one segmented scan and
-    one sparse wrong-event enumeration cover every cell; the per-cell
-    work that remains is slicing that enumeration (``searchsorted`` on
-    the ascending flat positions) and, for voted cells, one majority
-    bincount.  Returns ``(per-cell misses, final counter values,
-    key_base)`` with final state *not* yet written back.
-    """
-    n = len(outcomes)
-    shift = max(1, (n - 1).bit_length()) + 1
-    block_streams, key_base, cell_first_block, values = _bucket_layout(plans)
-    m = len(block_streams) * n
-    # Buckets are split by the ``wide`` flag, so one member speaks for all.
-    dtype = np.uint64 if plans[0].wide else np.uint32
-
-    packed = _pack_blocks(block_streams, outcomes, shift, dtype, timer, cache)
-    run_key, run_tak, run_len, run_starts = _block_runs(
-        packed, n, shift, key_base, timer
-    )
-    # Per-block run ranges (block starts force run breaks, so every
-    # boundary exists exactly): the depth groups for the fused scan and
-    # the reduction slices below.
-    block_run_bounds = np.searchsorted(
-        run_starts, np.arange(len(block_streams) + 1, dtype=np.int64) * n
-    )
-
-    if kind == "add":
-        scan = _run_level_scan(
-            run_key, run_tak, run_len, run_starts, None, values, max_value,
-            m, timer, group_bounds=block_run_bounds,
-        )
-        run_pre = scan.run_pre
-        finals = scan.final_values
-    else:  # lazy1: train-on-miss map codes, same run/span algebra
-        with timer.stage("scan"):
-            runs = len(run_starts)
-            new_seg = np.empty(runs, dtype=bool)
-            new_seg[0] = True
-            np.not_equal(run_key[1:], run_key[:-1], out=new_seg[1:])
-            codes = _lazy_single_run_codes(
-                run_tak, run_len, threshold, max_value
-            )
-            _code_scan(run_key, codes, new_seg)
-            run_pre, finals = _code_pre_and_finals(
-                run_key, codes, new_seg, values
-            )
-
-    with timer.stage("reduce"):
-        # Both kinds train monotonically toward the run outcome while
-        # the prediction still opposes it, so wrong events are the same
-        # crossing prefix (clip(threshold - pre, 0, len) and mirror).
-        pre = run_pre.astype(np.int32)
-        span = np.where(
-            run_tak, np.int32(threshold) - pre, pre - np.int32(threshold - 1)
-        )
-        np.minimum(span, run_len, out=span)
-        np.maximum(span, np.int32(0), out=span)
-        misses_arr: List[Optional[int]] = [None] * len(plans)
-        cell_run_bounds = block_run_bounds[cell_first_block]
-        if warmup == 0:
-            # Single-table misses are pure span sums — no event
-            # enumeration.  Voted cells still need per-event votes, so
-            # their spans stay; the rest are zeroed out of the (now much
-            # smaller) sparse expansion below.
-            span_csum = np.concatenate(
-                ([0], np.cumsum(span, dtype=np.int64))
-            )
-            any_voted = False
-            for c, plan in enumerate(plans):
-                a, b = int(cell_run_bounds[c]), int(cell_run_bounds[c + 1])
-                if len(plan.counters) == 1:
-                    misses_arr[c] = int(span_csum[b] - span_csum[a])
-                    span[a:b] = 0
-                else:
-                    any_voted = True
-            if not any_voted:
-                return list(misses_arr), finals, key_base  # type: ignore[arg-type]
-        grouped = _spans_to_grouped(run_starts, span)
-        events = (
-            (packed[grouped] & dtype((1 << shift) - 2)) >> dtype(1)
-        ).astype(np.int64)
-        # grouped is ascending, and cell c owns the contiguous flat
-        # range [first_block[c] * n, first_block[c+1] * n).
-        bounds = np.searchsorted(
-            grouped, np.asarray(cell_first_block, dtype=np.int64) * n
-        )
-        for c, plan in enumerate(plans):
-            if misses_arr[c] is not None:
-                continue
-            lo, hi = int(bounds[c]), int(bounds[c + 1])
-            if len(plan.counters) > 1:
-                # Odd bank count: complementing every vote complements
-                # the (tie-free) majority, so "majority of banks wrong"
-                # is exactly "overall prediction wrong".
-                wrong_banks = np.bincount(events[lo:hi], minlength=n)
-                wrong = wrong_banks >= plan.majority
-                misses_arr[c] = int(np.count_nonzero(wrong[warmup:]))
-            elif warmup == 0:  # pragma: no cover — handled by span sums
-                misses_arr[c] = hi - lo
-            else:
-                misses_arr[c] = int(
-                    np.count_nonzero(events[lo:hi] >= warmup)
-                )
-    return list(misses_arr), finals, key_base  # type: ignore[arg-type]
-
-
-def _native_bucket(
-    kind: str,
-    plans: List[_CellPlan],
-    outcomes: np.ndarray,
-    threshold: int,
-    max_value: int,
-    warmup: int,
-    timer: StageTimer,
-) -> Tuple[List[Optional[int]], np.ndarray, np.ndarray]:
-    """Any bucket kind via one compiled kernel pass per cell.
-
-    Same return shape as :func:`_fused_independent` (per-cell misses,
-    final counter values, ``key_base``) so the shared deferred
-    writeback applies unchanged.  No cross-cell fusion happens here on
-    purpose: the C kernels' per-call fixed cost is microseconds, so the
-    amortisation argument behind the numpy fusion is moot, and running
-    cells separately keeps each walk's working set one table deep.
-
-    A ``partial`` cell whose fixpoint hits the round cap yields None
-    misses — the caller re-runs just that cell per-cell, exactly like a
-    numpy-fusion bailout, and its (half-written) counter slice is never
-    written back.
-    """
-    _, key_base, cell_first_block, values = _bucket_layout(plans)
-    misses: List[Optional[int]] = []
-    for c, plan in enumerate(plans):
-        lo = key_base[cell_first_block[c]]
-        hi = key_base[cell_first_block[c + 1]]
-        if kind == "add":
-            cell_misses: Optional[int] = run_table_kernel(
-                plan.streams, outcomes, values[lo:hi], plan.entry_bits,
-                threshold, max_value, warmup, timer,
-            )
-        elif kind == "lazy1":
-            cell_misses = run_lazy1_kernel(
-                plan.streams[0], outcomes, values[lo:hi], plan.entry_bits,
-                threshold, max_value, warmup, timer,
-            )
-        else:  # partial
-            cell_misses = run_partial_kernel(
-                plan.streams, outcomes, values[lo:hi], plan.entry_bits,
-                threshold, max_value, warmup, timer,
-            )
-        misses.append(cell_misses)
-    return misses, values, key_base
-
-
-def _miss_rows(w_rows: np.ndarray, lo: int, hi: int, warmup: int) -> np.ndarray:
-    """Per-config wrong-event counts of a trace block, past ``warmup``."""
-    if lo >= warmup:
-        return np.count_nonzero(w_rows, axis=1)
-    if hi > warmup:
-        return np.count_nonzero(w_rows[:, warmup - lo :], axis=1)
-    return np.zeros(len(w_rows), dtype=np.intp)
-
-
-def _fused_partial(
-    plans: List[_CellPlan],
-    outcomes: np.ndarray,
-    threshold: int,
-    max_value: int,
-    warmup: int,
-    timer: StageTimer,
-) -> Tuple[List[Optional[int]], np.ndarray, np.ndarray]:
-    """Batched vote-wrongness fixpoint over every PARTIAL cell at once.
-
-    The per-cell kernel (:func:`repro.sim.scan._scan_coupled`) iterates
-    a per-event wrongness vector to its unique fixpoint in checkpointed
-    trace blocks.  Here the vector is flat over (config, event): every
-    config's banks run through the same run encoding / code scan / span
-    recount arrays, the vote recount is one bincount over flat
-    wrongness slots, and per-config majorities (3- and 5-bank cells mix
-    freely) are a broadcast compare.
-
-    Configs are mathematically independent — a config's wrongness rows
-    and counter segments never read another's — so each follows exactly
-    its per-cell Jacobi trajectory and *drops out* the round it
-    converges: its block-final counters are written into ``values``
-    immediately (later rounds' ``values.copy()`` then carries them) and
-    its elements are compacted away, so one slow-converging member
-    costs only its own rounds, not rounds times bucket width.
-
-    A config whose block hits the round cap gets ``None`` misses (the
-    caller re-runs just that cell per-cell; per-cell would bail there
-    too) and stops iterating; every other config is unaffected.
-    """
-    n = len(outcomes)
-    configs = len(plans)
-    block_streams, key_base, cell_first_block, values = _bucket_layout(plans)
-    first_block = np.asarray(cell_first_block, dtype=np.int64)
-    majority = np.asarray([plan.majority for plan in plans], dtype=np.int64)
-    # Buckets are split by the ``wide`` flag, so one member speaks for all.
-    dtype = np.uint64 if plans[0].wide else np.uint32
-
-    misses = np.zeros(configs, dtype=np.int64)
-    alive = np.ones(configs, dtype=bool)  # never hit the round cap
-    for lo in range(0, n, _COUPLED_BLOCK):
-        active = np.flatnonzero(alive)
-        if not len(active):
-            break
-        hi = min(lo + _COUPLED_BLOCK, n)
-        nb = hi - lo
-        shift = max(1, (nb - 1).bit_length()) + 1
-        act_blocks = [
-            j
-            for c in active
-            for j in range(first_block[c], first_block[c + 1])
-        ]
-        packed = _pack_blocks(
-            [block_streams[j][lo:hi] for j in act_blocks],
-            outcomes[lo:hi],
-            shift,
-            dtype,
-            timer,
-        )
-        m = len(packed)
-        with timer.stage("scan"):
-            pos_s = (
-                (packed >> dtype(1)) & dtype((1 << (shift - 1)) - 1)
-            ).astype(np.int64)
-            tak_s = (packed & dtype(1)) != 0
-            gkey_s = (packed >> dtype(shift)).astype(np.int64)
-            gkey_s += np.repeat(key_base[act_blocks], nb)
-            # compact row (0..len(active)) of each element, and its flat
-            # wrongness slot: row * nb + position
-            row_of_block = np.repeat(
-                np.arange(len(active)), np.diff(first_block)[active]
-            )
-            row_of_elem = np.repeat(row_of_block, nb)
-            w_index_s = row_of_elem * nb + pos_s
-            base_break = np.empty(m, dtype=bool)
-            base_break[0] = True
-            delta = packed[1:] ^ packed[:-1]
-            keep = dtype(~((1 << shift) - 2) & np.iinfo(dtype).max)
-            np.bitwise_and(delta, keep, out=delta)
-            np.not_equal(delta, dtype(0), out=base_break[1:])
-            base_break[nb::nb] = True
-        rows = len(active)
-        majority_flat = np.repeat(majority[active], nb)
-        iterating = np.ones(rows, dtype=bool)  # rows still Jacobi-stepping
-
-        w = np.ones(rows * nb, dtype=bool)
-        for _ in range(_COUPLED_ROUND_LIMIT):
-            with timer.stage("scan"):
-                w_s = w[w_index_s]
-                new_run = base_break.copy()
-                np.logical_or(
-                    new_run[1:], w_s[1:] != w_s[:-1], out=new_run[1:]
-                )
-                run_starts = np.flatnonzero(new_run)
-                run_len = np.diff(run_starts, append=m)
-                run_key = gkey_s[run_starts]
-                run_tak = tak_s[run_starts]
-                run_w = w_s[run_starts]
-                runs = len(run_starts)
-                new_seg = np.empty(runs, dtype=bool)
-                new_seg[0] = True
-                np.not_equal(run_key[1:], run_key[:-1], out=new_seg[1:])
-                codes = _coupled_run_codes(
-                    run_tak, run_w, run_len, threshold, max_value
-                )
-                _code_scan(run_key, codes, new_seg)
-                run_pre, final_values = _code_pre_and_finals(
-                    run_key, codes, new_seg, values
-                )
-            with timer.stage("reduce"):
-                span = _coupled_wrong_spans(
-                    run_tak, run_w, run_len, run_pre, threshold
-                )
-                grouped = _spans_to_grouped(run_starts, span)
-                wrong_banks = np.bincount(
-                    w_index_s[grouped], minlength=rows * nb
-                )
-                w_new = wrong_banks >= majority_flat
-                changed = (
-                    (w_new ^ w).reshape(rows, nb).any(axis=1) & iterating
-                )
-                done = iterating & ~changed
-                if done.any():
-                    # These rows just reproduced their own wrongness:
-                    # their fixpoint.  Bank their misses and block-final
-                    # counters now, then compact them out of the round.
-                    done_rows = np.flatnonzero(done)
-                    misses[active[done_rows]] += _miss_rows(
-                        w_new.reshape(rows, nb)[done_rows], lo, hi, warmup
-                    )
-                    for row in done_rows:
-                        a = key_base[first_block[active[row]]]
-                        b = key_base[first_block[active[row] + 1]]
-                        values[a:b] = final_values[a:b]
-                    iterating[done_rows] = False
-                    if not iterating.any():
-                        break
-                    # Compact lazily: a converged row left in place just
-                    # recomputes its fixpoint (idempotent), costing its
-                    # share of later rounds, while compressing five
-                    # m-sized arrays costs a fixed multiple of m — only
-                    # worth it once a decent fraction of elements died.
-                    elem_keep = iterating[row_of_elem]
-                    if m - int(np.count_nonzero(elem_keep)) > m >> 2:
-                        gkey_s = gkey_s[elem_keep]
-                        tak_s = tak_s[elem_keep]
-                        base_break = base_break[elem_keep]
-                        w_index_s = w_index_s[elem_keep]
-                        row_of_elem = row_of_elem[elem_keep]
-                        m = len(gkey_s)
-                w = w_new
-        else:
-            # Rows still iterating at the cap: abandon just those cells
-            # (per-cell scan would abandon the same block the same way).
-            alive[active[iterating]] = False
-    misses_out: List[Optional[int]] = [
-        int(misses[c]) if alive[c] else None for c in range(configs)
-    ]
-    return misses_out, values, key_base
-
-
-# -- the engine -------------------------------------------------------------
-
-
-def simulate_grid(
-    predictors: Sequence[BranchPredictor],
-    trace: Trace,
-    warmup: int = 0,
-    labels: Optional[Sequence[Optional[str]]] = None,
-    stage_timer: Optional[StageTimer] = None,
-    stats: Optional[GridStats] = None,
-) -> List[SimulationResult]:
-    """Simulate many predictors over one trace with fused scan kernels.
-
-    The grid counterpart of :func:`repro.sim.vectorized.simulate_fast`:
-    results come back aligned with ``predictors``, each predictor's
-    counters / history end in exactly the state a per-cell
-    ``simulate_fast`` run would leave, and unfusable cells silently run
-    per-cell — callers never need to pre-filter specs.  ``labels``
-    (optional, aligned) override each result's predictor name the way
-    ``simulate_fast``'s ``label`` does; ``stage_timer`` accumulates the
-    fused kernels' per-stage wall-clock; ``stats`` (optional) tallies
-    fusion counters across calls.
-
-    Fused counter state is written back only after every bucket has
-    computed, so a kernel failure propagates with all fused predictors
-    untouched (fallback cells are individually exception-safe inside
-    ``simulate_fast``).
-    """
-    predictors = list(predictors)
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    if labels is None:
-        labels = [None] * len(predictors)
-    elif len(labels) != len(predictors):
-        raise ValueError(
-            f"{len(labels)} labels for {len(predictors)} predictors"
-        )
-    else:
-        labels = list(labels)
-    timer = NULL_STAGE_TIMER if stage_timer is None else stage_timer
-    grid_stats = GridStats() if stats is None else stats
-
-    with timer.stage("precompute"):
-        outcomes = _cond_takens(trace)
-    n = len(outcomes)
-
-    results: List[Optional[SimulationResult]] = [None] * len(predictors)
-    fallback: List[int] = []
-    buckets: Dict[Tuple[str, int, int, bool], List[Tuple[int, _CellPlan]]] = {}
-    forced = forced_engine()
-    if n and forced in (None, "grid"):
-        with timer.stage("precompute"):
-            for index, predictor in enumerate(predictors):
-                plan = _plan_cell(predictor, trace, n)
-                if plan is None:
-                    fallback.append(index)
-                else:
-                    key = (
-                        plan.kind,
-                        plan.threshold,
-                        plan.max_value,
-                        plan.wide,
-                    )
-                    buckets.setdefault(key, []).append((index, plan))
-    else:
-        # Trivial grids (nothing to amortise; the per-cell path already
-        # handles empty traces exactly) — or a forced non-grid engine,
-        # which every cell must honor via per-cell simulate_fast.
-        fallback = list(range(len(predictors)))
-
-    # Sorted blocks are shareable across buckets (counter-width and
-    # policy series repeat geometries); cache them only when some
-    # stream actually repeats, so unique-geometry grids skip the copies.
-    stream_ids = [
-        id(stream)
-        for members in buckets.values()
-        for _, plan in members
-        for stream in plan.streams
-    ]
-    pack_cache: Optional[Dict[tuple, np.ndarray]] = (
-        {} if len(set(stream_ids)) < len(stream_ids) else None
-    )
-
-    misses_by_index: Dict[int, int] = {}
-    engine_by_index: Dict[int, str] = {}
-    writebacks: List[Tuple[object, np.ndarray]] = []
-    for (kind, threshold, max_value, _wide), members in sorted(
-        buckets.items()
-    ):
-        plans = [plan for _, plan in members]
-        # The native C kernels take over whole buckets of every kind
-        # when they can (built backend, per-kind geometry gates pass
-        # for every member, no forced engine): their per-cell fixed
-        # cost is microseconds, so they also lift the _FUSE_MAX_EVENTS
-        # cache-crossover cap — the sequential walks never leave one
-        # table's working set.
-        native_ok = (
-            forced is None
-            and all(
-                native_cell_ok(kind, plan.entry_bits, len(plan.counters), n)
-                for plan in plans
-            )
-            and native_available()
-        )
-        if forced != "grid" and (
-            len(members) < 2
-            or (kind != "partial" and n > _FUSE_MAX_EVENTS and not native_ok)
-        ):
-            # A singleton bucket amortises nothing, and independent-FSM
-            # buckets past the cache crossover (see _FUSE_MAX_EVENTS)
-            # would run *slower* fused; the per-cell scan tier is the
-            # same kernel without the fusion bookkeeping.
-            fallback.extend(index for index, _ in members)
-            continue
-        if native_ok:
-            misses_list, finals, key_base = _native_bucket(
-                kind, plans, outcomes, threshold, max_value, warmup, timer
-            )
-            grid_stats.native_cells += len(plans)
-            cell_engine = "native"
-        elif kind == "partial":
-            misses_list, finals, key_base = _fused_partial(
-                plans, outcomes, threshold, max_value, warmup, timer
-            )
-            cell_engine = "grid"
-        else:
-            misses_list, finals, key_base = _fused_independent(
-                kind,
-                plans,
-                outcomes,
-                threshold,
-                max_value,
-                warmup,
-                timer,
-                pack_cache,
-            )
-            cell_engine = "grid"
-        grid_stats.dispatches += 1
-        block = 0
-        for (index, plan), misses in zip(members, misses_list):
-            if misses is None:
-                # This cell's fixpoint hit the round cap (per-cell scan
-                # would bail identically); re-run just this cell.
-                grid_stats.fixpoint_bailouts += 1
-                fallback.append(index)
-                block += len(plan.counters)
-                continue
-            grid_stats.fused_cells += 1
-            misses_by_index[index] = misses
-            engine_by_index[index] = cell_engine
-            for counters in plan.counters:
-                writebacks.append(
-                    (counters, finals[key_base[block] : key_base[block + 1]])
-                )
-                block += 1
-
-    with timer.stage("reduce"):
-        for counters, finals in writebacks:
-            counters.values[:] = finals.tolist()
-        history_cache: Dict[Tuple[int, int], int] = {}
-        for index, misses in misses_by_index.items():
-            predictor = predictors[index]
-            history = getattr(predictor, "history", None)
-            if history is not None and history.bits:
-                # history.value is still the pre-run seed here (nothing
-                # has touched the register since the plan pass), so warm
-                # predictors fold it exactly like the per-cell tiers.
-                key = (history.bits, history.value)
-                if key not in history_cache:
-                    history_cache[key] = _final_history(
-                        trace.takens, history.bits, history.value
-                    )
-                history.value = history_cache[key]
-            results[index] = SimulationResult(
-                predictor=labels[index] or predictor.name,
-                trace=trace.name,
-                conditional_branches=max(0, n - warmup),
-                mispredictions=misses,
-                storage_bits=predictor.storage_bits,
-                history_bits=getattr(predictor, "history_bits", None),
-                engine=engine_by_index[index],
-            )
-
-    grid_stats.fallback_cells += len(fallback)
-    for index in fallback:
-        results[index] = simulate_fast(
-            predictors[index], trace, warmup=warmup, label=labels[index]
-        )
-    return results  # type: ignore[return-value]  # every slot is filled
+__all__ = ["simulate_spec_grid"]
 
 
 def simulate_spec_grid(
-    trace: Trace,
-    specs: Sequence[str],
-    warmup: int = 0,
-    stage_timer: Optional[StageTimer] = None,
-    stats: Optional[GridStats] = None,
+    trace: Trace, specs: Sequence[str], warmup: int = 0
 ) -> List[SimulationResult]:
-    """Fused-grid convenience over spec strings (the sweep runner's path).
-
-    Builds a fresh predictor per spec and returns results aligned with
-    ``specs`` — exactly what per-cell ``simulate_fast(make_predictor(s),
-    trace, label=s)`` calls would produce, via :func:`simulate_grid`.
-    """
-    predictors = [make_predictor(spec) for spec in specs]
-    return simulate_grid(
-        predictors,
-        trace,
-        warmup=warmup,
-        labels=list(specs),
-        stage_timer=stage_timer,
-        stats=stats,
-    )
+    """``simulate_fast(make_predictor(s), trace, label=s)`` per spec."""
+    return [
+        simulate_fast(make_predictor(spec), trace, warmup=warmup, label=spec)
+        for spec in specs
+    ]

@@ -17,23 +17,18 @@ event stream before simulation starts.  This engine exploits that:
    whose values feed back into later predictions — runs as a tight Python
    loop with no per-branch hashing, dispatch, or history bookkeeping.
 
-Step 3 is not actually irreducible: for always-update configurations each
-table entry is an independent FSM driven only by the outcomes that hit it,
-and :mod:`repro.sim.scan` replaces the loop with a grouped transition-
-composition scan (see ``docs/performance.md``).  This module keeps the
-loop because coupled-update policies (PARTIAL/LAZY on multi-bank skewed
-predictors) genuinely need it: there each bank's training decision reads
-the *overall* majority vote, which depends on the other banks' counters
-at that instant, so no single bank's state is a function of its own event
-substream alone.
+The native tier (:mod:`repro.sim.native`) runs the same step 3 as one
+compiled C loop over these streams; this Python loop is its fallback on
+hosts without a C compiler, below the numpy scan tier
+(:mod:`repro.sim.scan`) for the always-update families.
 
 The result is behaviourally identical to :func:`repro.sim.engine.simulate`
 (asserted by the equivalence suite in ``tests/sim/test_vectorized.py``,
 like the fused fast paths in the predictors themselves), including the
 predictor's final counter and history state.  :func:`simulate_fast`
-dispatches each spec to the fastest expressible engine — scan, then this
-loop engine, then the generic interpreter for anything neither can
-express (tagged, per-address, hybrid and custom-skew schemes).
+dispatches each spec to the fastest expressible engine — native, scan,
+then this loop engine, then the generic interpreter for anything none
+can express (tagged, per-address, hybrid and custom-skew schemes).
 """
 
 from __future__ import annotations
@@ -74,7 +69,7 @@ _MAX_HISTORY_BITS = 63
 #: registry (:mod:`repro.util.envvars`), re-exported here by name.
 ENGINE_ENV_VAR = envvars.ENGINE.name
 
-_ENGINE_NAMES = frozenset({"generic", "vectorized", "scan", "grid", "native"})
+_ENGINE_NAMES = frozenset({"generic", "vectorized", "scan", "native"})
 
 
 def forced_engine() -> Optional[str]:
@@ -84,11 +79,8 @@ def forced_engine() -> Optional[str]:
     ``native`` directly to that engine — a spec the engine cannot
     express raises its usual ``ValueError`` instead of silently falling
     back, which is the point: a forced benchmark or CI lane must fail
-    loudly rather than measure the wrong tier.  ``grid`` is interpreted
-    by :func:`repro.sim.scan_grid.simulate_grid` (force cell fusion,
-    skipping its size/population gates); ``simulate_fast`` treats it
-    like normal tiered dispatch so grid-internal fallback cells don't
-    recurse.  Unknown values raise ``ValueError`` immediately.
+    loudly rather than measure the wrong tier.  Unknown values raise
+    ``ValueError`` immediately.
     """
     value = envvars.ENGINE.text()
     if not value:
@@ -712,21 +704,17 @@ def simulate_fast(
     wall-clock differs — this is the entry point the sweep machinery
     uses):
 
-    1. :func:`repro.sim.native.simulate_native` for the table families
-       the compiled C backend covers — always-update
-       (bimodal/gshare/gselect, single-bank non-LAZY skewed, multi-bank
-       TOTAL skewed/e-gskew), single-bank LAZY, and multi-bank PARTIAL
-       below the native density ceiling — one fused pack/group/walk
-       pass per bank set;
-    2. :func:`repro.sim.scan.simulate_scan` for configurations the
-       native kernel doesn't take (agree's bias expansion,
-       extreme-density PARTIAL, word-width overflow) — and for
-       everything native covers when the backend can't build, where
-       every table entry is an independent FSM;
+    1. :func:`repro.sim.native.simulate_native` for every family this
+       module's index streams express (bimodal/gshare/gselect and
+       gskew/e-gskew with 1, 3 or 5 banks under any update policy) —
+       one sequential C walk, when the backend builds;
+    2. :func:`repro.sim.scan.simulate_scan` for agree and, without a C
+       compiler, the always-update families, where every table entry
+       is an independent FSM;
     3. :func:`simulate_vectorized` for the remaining index-expressible
-       schemes — multi-bank PARTIAL/LAZY, whose banks are coupled
-       through the majority vote and therefore need the sequential
-       counter loop;
+       schemes without a C compiler — multi-bank PARTIAL/LAZY and
+       single-bank LAZY, whose updates read the prediction and so need
+       the sequential counter loop;
     4. the generic interpreter for everything else (tagged, per-address,
        hybrid and custom-skew schemes).
 
@@ -762,8 +750,6 @@ def simulate_fast(
         return simulate_scan(predictor, trace, warmup=warmup, label=label)
     if forced == "native":
         return simulate_native(predictor, trace, warmup=warmup, label=label)
-    # None or "grid": normal tiered dispatch (grid is a scan_grid-level
-    # concept; its fallback cells land here and must not recurse).
 
     tiers = []
     if native_supports(predictor, trace):

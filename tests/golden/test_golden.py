@@ -9,8 +9,8 @@ test can see.
 
 Each of the six IBS-named workloads runs at a small scale through every
 engine tier (generic interpreter, vectorized loop, transition scan,
-fused sweep-grid, native C kernel) for a spec family every tier can
-express.  Counts are exact integers — the engines are deterministic and
+native C walk) for one spec per engine-relevant family; the scan column
+covers the always-update specs it expresses.  Counts are exact integers — the engines are deterministic and
 bit-identical, so the comparison is equality, not a tolerance.  The
 native tier is optional by design: its rows skip with an explicit
 reason when the backend cannot build (no C compiler or cffi,
@@ -35,20 +35,19 @@ import pytest
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
 from repro.sim.native import native_available, native_supports, simulate_native
-from repro.sim.scan import simulate_scan
-from repro.sim.scan_grid import simulate_grid
+from repro.sim.scan import scan_supports, simulate_scan
 from repro.sim.vectorized import simulate_vectorized
 from repro.traces.synthetic.workloads import IBS_BENCHMARKS, ibs_trace
+from repro.traces.trace import Trace
 
 GOLDEN_PATH = Path(__file__).parent / "golden_rates.json"
 
-#: Small enough to keep 6 workloads x 5 specs x 5 tiers cheap, large
+#: Small enough to keep 6 workloads x 5 specs x 4 tiers cheap, large
 #: enough that every workload has thousands of conditional branches.
 GOLDEN_SCALE = 0.05
 
-#: One spec per engine-relevant family, all expressible by every tier
-#: (always-update, default skew family, the PARTIAL vote-wrongness
-#: fixpoint, the single-bank LAZY train-on-miss walk, in-range
+#: One spec per engine-relevant family (always-update, default skew
+#: family, multi-bank PARTIAL, single-bank LAZY train-on-miss, in-range
 #: geometry).
 GOLDEN_SPECS = [
     "bimodal:512",
@@ -108,30 +107,13 @@ def _measure_serving() -> dict:
     return out
 
 
-def _simulate_grid_pair(predictor, trace, label):
-    """The fused sweep-grid tier, forced through a real fused bucket.
-
-    A single-cell grid would fall back per cell (nothing to amortise),
-    so the golden row runs the spec as a two-member bucket — the fused
-    kernels with the pack cache engaged — and pins both members to the
-    same numbers.
-    """
-    twin = make_predictor(label)
-    first, second = simulate_grid(
-        [predictor, twin], trace, labels=[label, label]
-    )
-    assert first == second
-    return first
-
-
 def _simulate_native_checked(predictor, trace, label):
     """The native C tier, skipping where it cannot run.
 
     The backend is optional (compiled on demand); a machine without a
-    C toolchain must stay green.  Every golden spec — including the
-    PARTIAL fixpoint and single-bank LAZY — has a native path at
-    golden scale, so on a compiler-equipped machine only backend
-    unavailability skips.
+    C toolchain must stay green.  Every golden spec has a native path,
+    so on a compiler-equipped machine only backend unavailability
+    skips.
     """
     if not native_available():
         pytest.skip(
@@ -147,9 +129,19 @@ ENGINES = {
     "generic": simulate,
     "vectorized": simulate_vectorized,
     "scan": simulate_scan,
-    "grid": _simulate_grid_pair,
     "native": _simulate_native_checked,
 }
+
+#: (spec, engine) cells of the matrix.  The scan tier expresses only the
+#: always-update families, so its column leaves LAZY and multi-bank
+#: PARTIAL to the generic, vectorized and native columns.
+_PROBE = Trace.from_columns([0x40], [1], [1], name="probe")
+CASES = [
+    pytest.param(spec, engine, id=f"{spec}-{engine}")
+    for spec in GOLDEN_SPECS
+    for engine in sorted(ENGINES)
+    if engine != "scan" or scan_supports(make_predictor(spec), _PROBE)
+]
 
 
 def _measure(workload: str, spec: str, engine) -> dict:
@@ -210,8 +202,7 @@ def test_golden_covers_exactly_the_matrix():
     assert sorted(serving["tenants"]) == sorted(SERVING_WORKLOADS)
 
 
-@pytest.mark.parametrize("engine_name", sorted(ENGINES))
-@pytest.mark.parametrize("spec", GOLDEN_SPECS)
+@pytest.mark.parametrize("spec,engine_name", CASES)
 @pytest.mark.parametrize("workload", IBS_BENCHMARKS)
 def test_rates_match_golden(workload, spec, engine_name):
     golden = _load_golden()

@@ -69,14 +69,15 @@ class TestCleanWrapper:
         assert r008(project.lint(["R008"])) == []
 
     def test_real_native_module_lints_clean(self, project):
-        # the real backend is the rule's raison d'être: 18 buffer sites
+        # the real backend is the rule's raison d'être: one entry point,
+        # three buffer sites
         from pathlib import Path
 
         native = (
             Path(__file__).resolve().parents[2] / "src/repro/sim/native.py"
         )
         source = native.read_text(encoding="utf-8")
-        assert source.count("from_buffer") == 18
+        assert source.count("from_buffer") == 3
         project.write("src/fixture_native.py", source)
         kernel = native.with_name("_native_kernel.c")
         project.write("src/_native_kernel.c", kernel.read_text())

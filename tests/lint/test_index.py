@@ -139,16 +139,11 @@ class TestRealTree:
 
     def test_width_gates_reachable_from_kernel(self):
         index = ProjectContext(Path(__file__).resolve().parents[2]).index()
-        ball = index.neighborhood("repro.sim.native", "run_table_kernel")
-        # The geometry gate sits three hops up (simulate_native →
-        # native_supports → native_cell_ok); its word_width_ok core is
-        # one hop further, so R007 relies on the in-function guard in
-        # _tagged_keys instead.
-        assert ("repro.sim.native", "native_cell_ok") in ball
-        wide = index.neighborhood(
-            "repro.sim.native", "run_table_kernel", depth=4
-        )
-        assert ("repro.sim.native", "word_width_ok") in wide
+        # The scan tier packs uint32 words in _pack_bank_blocks; its
+        # `key_bits + shift <= 32` gate sits one hop up, in _scan_voted,
+        # which is how R007 clears the packing site.
+        ball = index.neighborhood("repro.sim.scan", "_pack_bank_blocks")
+        assert ("repro.sim.scan", "_scan_voted") in ball
 
     def test_native_kernel_callers(self):
         index = ProjectContext(Path(__file__).resolve().parents[2]).index()
@@ -156,5 +151,4 @@ class TestRealTree:
             (site.module, site.function)
             for site in index.callers_of("repro.sim.native", "run_table_kernel")
         }
-        assert ("repro.sim.native", "simulate_native") in callers
-        assert ("repro.sim.scan_grid", "_native_bucket") in callers
+        assert callers == {("repro.sim.native", "simulate_native")}

@@ -1,4 +1,4 @@
-"""R007 width-flow: fixtures, seeded historical regressions, native gate."""
+"""R007 width-flow: fixtures, seeded historical regressions, packing gate."""
 
 from __future__ import annotations
 
@@ -167,37 +167,43 @@ class TestSuppressions:
 
 
 class TestNativeGate:
-    """R007 must rediscover why sim/native.py needs word_width_ok."""
+    """R007 over the native wrapper: the walk takes plain index streams
+    and packs no words, so the real module must lint clean with nothing
+    to gate."""
 
     NATIVE = REPO_ROOT / "src" / "repro" / "sim" / "native.py"
 
-    def _fixture_copy(self, project, source: str) -> None:
-        # The real module imports half the repo; strip it down to the
-        # parsed surface R007 looks at (imports resolve best-effort).
-        project.write("src/fixture_native.py", source)
-
     def test_real_native_with_gate_is_clean(self, project):
-        source = self.NATIVE.read_text(encoding="utf-8")
-        self._fixture_copy(project, source)
-        assert r007(project.lint(["R007"])) == []
-
-    def test_gates_removed_fire_on_packing_site(self, project):
-        source = self.NATIVE.read_text(encoding="utf-8")
-        gate = "entry_bits + tag_bits + shift <= 64"
-        local = "entry_bits + (banks - 1).bit_length() > 64"
-        assert gate in source, "word_width_ok's guard moved; update this test"
-        assert local in source, "_tagged_keys' guard moved; update this test"
-        stripped = source.replace(gate, "True").replace(local, "False")
-        self._fixture_copy(project, stripped)
-        violations = r007(project.lint(["R007"]))
-        assert violations, (
-            "removing both width comparisons must expose the uint64 "
-            "key packing in _tagged_keys"
+        # The real module imports half the repo; R007 only needs its
+        # parsed surface (imports resolve best-effort).
+        project.write(
+            "src/fixture_native.py", self.NATIVE.read_text(encoding="utf-8")
         )
-        assert {v.symbol for v in violations} == {"_tagged_keys"}
-        assert all("64" in v.message for v in violations)
+        assert r007(project.lint(["R007"])) == []
 
     def test_baseline_refuses_r007(self, project):
         from repro.lint.baseline import NEVER_BASELINED
 
         assert "R007" in NEVER_BASELINED
+
+
+class TestScanGate:
+    """R007 must rediscover why the scan tier's packed uint32 words need
+    their ``key_bits + shift <= 32`` gate."""
+
+    SCAN = REPO_ROOT / "src" / "repro" / "sim" / "scan.py"
+
+    def test_gates_removed_fire_on_packing_site(self, project):
+        source = self.SCAN.read_text(encoding="utf-8")
+        gate = "key_bits + shift <= 32"
+        assert gate in source, "the scan packing guard moved; update this test"
+        project.write("src/fixture_scan.py", source)
+        assert r007(project.lint(["R007"])) == []
+        project.write("src/fixture_scan.py", source.replace(gate, "True"))
+        violations = r007(project.lint(["R007"]))
+        assert violations, (
+            "removing the width comparison must expose the uint32 "
+            "key | position | outcome packing in _scan_single_table"
+        )
+        assert {v.symbol for v in violations} == {"_scan_single_table"}
+        assert all("32" in v.message for v in violations)

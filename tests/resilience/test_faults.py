@@ -150,6 +150,5 @@ class TestInjectedFault:
             "kernel-native",
             "kernel-scan",
             "kernel-vectorized",
-            "kernel-scan-grid",
             "serving-shard",
         }

@@ -71,8 +71,11 @@ class TestKernelDegradation:
         assert _snapshot_state(predictor) == expected_state
 
     def test_vectorized_failure_degrades_bit_identically(
-        self, fault_env, tiny_trace
+        self, fault_env, tiny_trace, monkeypatch
     ):
+        # Pin the vectorized loop to the front of the ladder (the native
+        # walk would otherwise take this spec first).
+        monkeypatch.setenv("REPRO_NATIVE", "0")
         expected, expected_state = _clean_fast(VECTOR_SPEC, tiny_trace)
         fault_env("kernel-vectorized@1")
         predictor = make_predictor(VECTOR_SPEC)

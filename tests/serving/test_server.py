@@ -15,18 +15,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.serving.client import PredictionClient, ServingError
-from repro.serving.server import PredictionServer, PredictionService
+from repro.serving.server import (
+    LINE_LIMIT,
+    PredictionServer,
+    PredictionService,
+)
 from repro.sim.config import make_predictor
 from repro.sim.native import native_available
+from repro.sim.scan import scan_supports
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import simulate_fast
 from repro.traces.trace import Trace
 
 from tests.strategies import traces as trace_strategy
 
-#: Families for the tier-forced matrix: every one of these has a path on
-#: every forced tier (generic always; vectorized/scan/native per their
-#: ``supports`` gates at this geometry).
+#: Families for the tier-forced matrix: each runs on every forced tier
+#: that expresses it (generic always; vectorized/scan/native per their
+#: ``supports`` gates — the scan tier takes no LAZY family).
 TIER_SPECS = [
     "bimodal:128",
     "gshare:128:h6",
@@ -45,6 +50,14 @@ LADDER_ONLY_SPECS = [
 ]
 
 ENGINES = ["generic", "vectorized", "scan", "native"]
+
+TIER_CASES = [
+    pytest.param(spec, engine, id=f"{spec}-{engine}")
+    for spec in TIER_SPECS
+    for engine in ENGINES
+    if engine != "scan"
+    or scan_supports(make_predictor(spec), Trace.from_columns([0x40], [1], [1]))
+]
 
 
 def _interleave_round_robin(service, sessions, chunk):
@@ -112,8 +125,7 @@ def _ibs_like(seed: int, length: int) -> Trace:
 
 
 class TestInterleavedVsSerial:
-    @pytest.mark.parametrize("engine", ENGINES)
-    @pytest.mark.parametrize("spec", TIER_SPECS)
+    @pytest.mark.parametrize("spec,engine", TIER_CASES)
     def test_forced_tier_parity(self, engine, spec, monkeypatch):
         """Interleaved == serial on every forced engine tier."""
         if engine == "native" and not native_available():
@@ -336,6 +348,61 @@ class TestAsyncServer:
         first, second = asyncio.run(scenario())
         assert json.loads(first)["ok"] is False
         assert json.loads(second)["ok"] is True
+
+    def test_oversized_line_is_answered_then_closed(self):
+        """A request line over the stream limit gets an explicit error
+        response before EOF, and a tenant on another connection is
+        untouched."""
+        import json
+
+        spec = "gshare:128:h6"
+        calm = _ibs_like(77, 600)
+        events = [
+            (int(calm.pcs[i]), int(calm.takens[i]), int(calm.conditionals[i]))
+            for i in range(len(calm))
+        ]
+
+        async def scenario():
+            async with PredictionServer(shards=2, batch_size=32) as server:
+                host, port = server.address
+                async with PredictionClient(host, port) as client:
+                    await client.open("calm", spec)
+                    await client.events("calm", events[:300])
+
+                    reader, writer = await asyncio.open_connection(host, port)
+                    writer.write(
+                        b'{"op": "open", "session": "big", '
+                        b'"spec": "bimodal:64"}\n'
+                    )
+                    opened = json.loads(await reader.readline())
+                    huge = [[0x400 + 4 * i, i & 1, 1] for i in range(5000)]
+                    line = json.dumps(
+                        {"op": "events", "session": "big", "events": huge}
+                    ).encode() + b"\n"
+                    assert len(line) > LINE_LIMIT
+                    writer.write(line)
+                    answer = await reader.readline()
+                    after = await reader.read()  # EOF: the server hung up
+                    writer.close()
+
+                    await client.events("calm", events[300:])
+                    stats = await client.sync("calm")
+                    state = await client.snapshot("calm")
+                return opened, answer, after, (
+                    stats["conditional_branches"],
+                    stats["mispredictions"],
+                    state.digest(),
+                )
+
+        opened, answer, after, calm_finals = asyncio.run(scenario())
+        assert opened["ok"] is True
+        response = json.loads(answer)
+        assert response["ok"] is False
+        assert str(LINE_LIMIT) in response["error"]
+        assert after == b""
+        assert calm_finals == _serial_finals({"calm": calm}, {"calm": spec})[
+            "calm"
+        ]
 
     def test_unknown_session_error_surfaces_in_client(self):
         async def scenario():
