@@ -16,7 +16,7 @@ from repro.aliasing.distance import LastUseDistanceTracker
 from repro.core.skew import skew_f0, skew_f1, skew_f2
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
-from repro.sim.scan import simulate_scan
+from repro.sim.native import native_available, simulate_native
 from repro.sim.vectorized import simulate_vectorized
 from repro.traces.synthetic.workloads import ibs_trace
 
@@ -73,21 +73,23 @@ def test_vectorized_engine_throughput(benchmark, trace, spec):
     assert result.conditional_branches == trace.conditional_count
 
 
-SCAN_SPECS = [
+NATIVE_SPECS = [
     "gshare:4k:h8",
     "gskew:3x1k:h8:total",
     "agree:4k:h8",
 ]
 
 
-@pytest.mark.parametrize("spec", SCAN_SPECS)
-def test_scan_engine_throughput(benchmark, trace, spec):
-    """Branches/second on the transition-composition scan kernel
-    (compare against the same specs under the generic and vectorized
-    benchmarks above)."""
+@pytest.mark.skipif(
+    not native_available(), reason="native backend unavailable"
+)
+@pytest.mark.parametrize("spec", NATIVE_SPECS)
+def test_native_engine_throughput(benchmark, trace, spec):
+    """Branches/second on the native C walk (compare against the same
+    specs under the generic and vectorized benchmarks above)."""
 
     def run():
-        return simulate_scan(make_predictor(spec), trace, label=spec)
+        return simulate_native(make_predictor(spec), trace, label=spec)
 
     result = benchmark(run)
     assert result.conditional_branches == trace.conditional_count
@@ -120,9 +122,11 @@ def test_bench_engine_tool_smoke():
         report = json.loads(out.read_text(encoding="utf-8"))
     assert report["sweep"]["identical"]
     assert all(row["identical"] for row in report["engine"]["rows"])
-    assert all(row["identical"] for row in report["scan"]["rows"])
-    for row in report["scan"]["rows"]:
-        assert {"precompute", "reduce"} <= set(row["stages_s"])
+    native_rows = report["native"]["rows"]
+    assert all(row.get("identical", True) for row in native_rows)
+    for row in native_rows:
+        if not row.get("skipped"):
+            assert {"precompute", "walk", "reduce"} <= set(row["stages_s"])
 
 
 def test_skew_function_cost(benchmark):

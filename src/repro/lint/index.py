@@ -268,9 +268,10 @@ class ProjectIndex:
 
         The undirected ball around a function: its callees, its
         callers, their callees, and so on.  R007 searches this set for
-        width guards — a gate like the scan tier's ``key_bits + shift <=
-        32`` typically sits one hop *up* (in the caller that decides to take the fast path) and
-        one or two hops *sideways* (a helper the caller consults).
+        width guards — a gate like ``key_bits + shift <= 32`` before
+        packing uint32 words typically sits one hop *up* (in the caller
+        that decides to take the fast path) and one or two hops
+        *sideways* (a helper the caller consults).
         """
         start = (module, function.split(".")[0] if function else "")
         seen: Set[Tuple[str, str]] = {(module, function)}

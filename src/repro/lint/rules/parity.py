@@ -1,12 +1,12 @@
 """R004 — engine parity: fast-path entry points carry equivalence tests.
 
-``sim/vectorized.py``, ``sim/scan.py``, ``sim/scan_grid.py``,
-``sim/native.py`` and ``aliasing/vectorized.py`` re-implement the
-reference engines in closed form; their correctness argument *is* the
-equivalence suite
-(bit-identical results on shared inputs).  A public function added to any of them without a test
-referencing it is an unverified fast path — precisely the hole this
-rule closes.
+``sim/vectorized.py``, ``sim/native.py`` and ``aliasing/vectorized.py``
+re-implement the reference engines in closed form; their correctness
+argument *is* the equivalence suite (bit-identical results on shared
+inputs).  ``sim/scan.py`` and ``sim/scan_grid.py`` are shims the
+benchmark's span recorder wraps, pinned the same way.  A public function
+added to any of them without a test referencing it is an unverified fast
+path — precisely the hole this rule closes.
 
 "Referenced" is a whole-word textual match anywhere under ``tests/``:
 coarse, but exactly the bar the equivalence suites already clear, and

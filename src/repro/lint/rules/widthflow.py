@@ -7,10 +7,10 @@ width bugs this project has actually shipped were both of the shape
 "symbolic field arithmetic flows into a fixed-width container and
 nothing proves it fits": the gshare ``index_bits=0`` collapse folded a
 full-width history into an index, and the unmasked-history fold shifted
-a history register past its container.  The scan tier's
-``key_bits + shift <= 32`` gate in ``sim/scan.py`` exists precisely
-because it packs ``bank | key | position | outcome`` into uint32 and
-the geometry decides whether that fits.
+a history register past its container.  Grouping events with one sort
+over ``bank | key | position | outcome`` uint32 words needs a
+``key_bits + shift <= 32`` gate precisely because the geometry decides
+whether those fields fit.
 
 This rule runs the dtype/bit-width dataflow
 (:mod:`repro.lint.dataflow`) over every function and inspects each
@@ -28,9 +28,9 @@ geometry decision.  Then:
   **runtime width guard**: a comparison against the target capacity
   (``... <= 64`` for uint64, ``<= 32``/``< 32`` for uint32, …)
   somewhere in the same function or within three call-graph hops
-  (:meth:`repro.lint.index.ProjectIndex.neighborhood` — this is how
-  ``_scan_voted``'s ``key_bits + shift <= 32`` covers the packing in
-  ``_pack_bank_blocks``).
+  (:meth:`repro.lint.index.ProjectIndex.neighborhood` — this is how a
+  caller's ``key_bits + shift <= 32`` covers the packing in the helper
+  it calls; ``tests/lint/data/packed_groups.py`` pins both shapes).
 
 Mask-construction idioms (``(1 << k) - 1``, ``& mask``, ``~x``,
 ``% size``) are exempt: a mask is bounded by intent, and truncating
@@ -210,8 +210,9 @@ class WidthFlowRule(Rule):
             f"packed expression may need {site.pre_width.describe()} bits "
             f"but flows into {site.dtype} ({capacity} value bits) with no "
             f"width guard in reach; compare the field widths against "
-            f"{capacity} before taking this path (see the key_bits + "
-            "shift <= 32 gate in sim/scan.py) or mask the inputs",
+            f"{capacity} before taking this path (e.g. a key_bits + "
+            "shift <= 32 check before packing uint32 words) or mask the "
+            "inputs",
         )
 
     def _guarded(

@@ -6,7 +6,7 @@ event buffers.  Events arrive one at a time over the wire but are *not*
 fed through per-event Python calls — each tenant's pending buffer is
 flushed as a micro-batch :class:`~repro.traces.trace.Trace` through
 :func:`repro.sim.vectorized.simulate_fast`, which dispatches the
-native/scan tiers.  Because every fast tier honors warm predictor state
+native/vectorized tiers.  Because every fast tier honors warm predictor state
 (counters, bias latches, and — as of this layer — the history-register
 seed), the flush boundaries are invisible: any batching whatsoever
 produces predictions and final state byte-identical to one serial run.

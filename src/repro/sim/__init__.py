@@ -17,7 +17,6 @@ from repro.sim.native import (
 )
 from repro.sim.parallel import resolve_jobs, simulate_specs
 from repro.sim.profile import StageTimer
-from repro.sim.scan import counter_scan, scan_supports, simulate_scan
 from repro.sim.vectorized import simulate_fast, simulate_vectorized
 from repro.sim.windowed import WindowedResult, windowed_misprediction
 from repro.sim.sweep import (
@@ -41,12 +40,9 @@ __all__ = [
     "simulate",
     "simulate_fast",
     "simulate_native",
-    "simulate_scan",
     "simulate_vectorized",
     "native_available",
     "native_supports",
-    "scan_supports",
-    "counter_scan",
     "StageTimer",
     "simulate_specs",
     "resolve_jobs",

@@ -11,10 +11,17 @@
  *
  * Banks are separate tables, so the reads of one event never alias its
  * own writes, and the walk is the generic engine's per-branch loop with
- * the index functions precomputed (repro.sim.vectorized._index_streams).
+ * the index functions precomputed (repro.sim.vectorized._walk_inputs).
  * Bank counts are odd, so "the vote was wrong" is "a majority of banks
- * was wrong" — no taken-vote tally is needed.  The R006 lint rule keeps
- * this entry point pinned to a scalar oracle in tests/sim/test_native.py.
+ * was wrong" — no taken-vote tally is needed.
+ *
+ * The counters train toward `outcomes`, but a miss is scored against
+ * `truth`: the voted direction (taken ^ wrong) must equal truth[i].
+ * Every family passes the outcome stream twice except agree, whose
+ * counters train on "agreed with the latched bias" while predictions
+ * read the bias in force before the latch (repro.sim.vectorized).
+ * The R006 lint rule keeps this entry point pinned to a scalar oracle
+ * in tests/sim/test_native.py.
  */
 
 #include <stdint.h>
@@ -27,7 +34,8 @@ enum { REPRO_TOTAL = 0, REPRO_PARTIAL = 1, REPRO_LAZY = 2 };
  * scored at positions >= warmup, or -1 for an unsupported bank count.
  *
  *   index      banks*n entry indices, bank-major
- *   outcomes   n bytes, 0/1 per event
+ *   outcomes   n bytes, 0/1 per event: the direction counters train to
+ *   truth      n bytes, 0/1 per event: the direction a miss is scored on
  *   policy     REPRO_TOTAL, REPRO_PARTIAL or REPRO_LAZY
  *   threshold  predict taken when value >= threshold
  *   max_value  counters saturate in [0, max_value]
@@ -35,9 +43,9 @@ enum { REPRO_TOTAL = 0, REPRO_PARTIAL = 1, REPRO_LAZY = 2 };
  *   warmup     events below this position train but never score
  */
 int64_t repro_walk(const uint64_t *index, const uint8_t *outcomes,
-                   int64_t n, int32_t banks, int32_t policy,
-                   int64_t threshold, int64_t max_value, int64_t *values,
-                   int64_t entries, int64_t warmup)
+                   const uint8_t *truth, int64_t n, int32_t banks,
+                   int32_t policy, int64_t threshold, int64_t max_value,
+                   int64_t *values, int64_t entries, int64_t warmup)
 {
     int32_t majority = banks / 2 + 1;
     int64_t misses = 0;
@@ -58,7 +66,7 @@ int64_t repro_walk(const uint64_t *index, const uint8_t *outcomes,
             wrong_banks += !agrees[b];
         }
         wrong = wrong_banks >= majority;
-        misses += wrong & (i >= warmup);
+        misses += ((taken ^ wrong) != (truth[i] != 0)) & (i >= warmup);
         if (policy == REPRO_LAZY && !wrong)
             continue;
         for (b = 0; b < banks; b++) {

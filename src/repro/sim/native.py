@@ -1,7 +1,7 @@
 """Native simulation engine: the counter walk as one compiled C loop.
 
 The index functions of every table predictor the fast tiers cover are
-pure functions of the trace, so :func:`repro.sim.vectorized._index_streams`
+pure functions of the trace, so :func:`repro.sim.vectorized._walk_inputs`
 computes them up front with numpy.  What is left is the paper's machine
 itself: per branch, read one counter per bank, vote, and train the
 banks under TOTAL, PARTIAL or LAZY update.  That walk is sequential by
@@ -10,8 +10,12 @@ as one plain C loop (``repro_walk`` in ``_native_kernel.c``) over the
 bank-major index streams, updating the counters in place.
 
 It covers everything :func:`repro.sim.vectorized.supports` accepts:
-bimodal, gshare, gselect, and gskew / e-gskew with 1, 3 or 5 banks
-under every update policy.  Agree keeps the numpy scan tier.
+bimodal, gshare, gselect, agree, and gskew / e-gskew with 1, 3 or 5
+banks under every update policy, with counters of at most 63 bits (the
+walk's ``int64`` counters hold ``max_value``).  Agree is one table whose
+counters train on "agreed with the latched bias" while misses are scored
+against the bias the prediction read; ``repro_walk`` takes that second
+byte stream as ``truth``.
 
 The backend is optional.  cffi + a C compiler are probed lazily on
 first use; the shared object is cached under a version-fingerprinted
@@ -20,11 +24,11 @@ happen only when any of those change, and later processes just dlopen
 the cached module.  When the build fails — no compiler, no cffi, or
 ``REPRO_NATIVE=0`` — :func:`native_available` reports False (with a
 one-time ``RuntimeWarning`` for real failures) and ``simulate_fast``
-falls back to the scan tier; nothing else in the library requires the
-backend.
+falls back to the vectorized loop; nothing else in the library requires
+the backend.
 
 Results are bit-identical to :func:`repro.sim.engine.simulate`
-including final counter and history state (asserted by
+including final counter, agree-bias and history state (asserted by
 ``tests/sim/test_native.py``, which also pins ``repro_walk`` to a
 scalar oracle by name — the R006 lint rule keeps that true).
 """
@@ -50,7 +54,12 @@ from repro.core.update import UpdatePolicy
 from repro.predictors.base import BranchPredictor
 from repro.sim.metrics import SimulationResult
 from repro.sim.profile import NULL_STAGE_TIMER, StageTimer
-from repro.sim.vectorized import _cond_takens, _final_history, _index_streams
+from repro.sim.vectorized import (
+    _cond_takens,
+    _final_history,
+    _single_table,
+    _walk_inputs,
+)
 from repro.sim.vectorized import supports as _vector_supports
 from repro.traces.trace import Trace
 from repro.util import envvars
@@ -78,10 +87,13 @@ _KERNEL_PATH = Path(__file__).with_name("_native_kernel.c")
 #: entry point to be pinned by a test referencing it by name.
 _CDEF = """
 int64_t repro_walk(const uint64_t *index, const uint8_t *outcomes,
-                   int64_t n, int32_t banks, int32_t policy,
-                   int64_t threshold, int64_t max_value, int64_t *values,
-                   int64_t entries, int64_t warmup);
+                   const uint8_t *truth, int64_t n, int32_t banks,
+                   int32_t policy, int64_t threshold, int64_t max_value,
+                   int64_t *values, int64_t entries, int64_t warmup);
 """
+
+#: widest counter whose ``max_value`` fits the walk's ``int64``
+_MAX_COUNTER_BITS = 63
 
 #: ``policy`` argument of ``repro_walk`` (the kernel's enum).
 _POLICY_CODES = {
@@ -178,7 +190,7 @@ def _backend():
         _WARNED = True
         warnings.warn(
             "native backend unavailable, falling back to the "
-            f"numpy scan tier ({_BACKEND})",
+            f"vectorized loop ({_BACKEND})",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -232,8 +244,13 @@ def compiler_info() -> Optional[Dict[str, object]]:
 
 def native_supports(predictor: BranchPredictor, trace: Trace) -> bool:
     """True if ``predictor`` has a native fast path over ``trace``: every
-    family the vectorized tier expresses, once the backend is built."""
-    return _vector_supports(predictor, trace) and native_available()
+    family the vectorized tier expresses, with counters narrow enough
+    for ``int64``, once the backend is built."""
+    return (
+        _vector_supports(predictor, trace)
+        and _tables(predictor)[0][0].bits <= _MAX_COUNTER_BITS
+        and native_available()
+    )
 
 
 def _checked_backend():
@@ -253,15 +270,20 @@ def run_table_kernel(
     threshold: int,
     max_value: int,
     warmup: int,
+    truth: Optional[np.ndarray] = None,
 ) -> int:
     """One ``repro_walk`` over a predictor's banks; returns the misses.
 
     ``streams`` holds one index stream per bank (1, 3 or 5), and
-    ``outcomes`` the bool conditional-outcome stream.  ``values`` is the
+    ``outcomes`` the bool stream the counters train toward.  ``truth``
+    is the bool stream a miss is scored against; it defaults to
+    ``outcomes`` and differs only for agree.  ``values`` is the
     bank-concatenated contiguous int64 counter array, updated in place
     to the final state.
     """
     ffi, lib = _checked_backend()
+    if truth is None:
+        truth = outcomes
     n = len(outcomes)
     banks = len(streams)
     index = np.empty(banks * n, dtype=np.uint64)
@@ -270,6 +292,7 @@ def run_table_kernel(
     misses = lib.repro_walk(
         ffi.from_buffer("uint64_t[]", index),
         ffi.from_buffer("uint8_t[]", outcomes.view(np.uint8)),
+        ffi.from_buffer("uint8_t[]", truth.view(np.uint8)),
         n,
         banks,
         _POLICY_CODES[policy],
@@ -295,7 +318,7 @@ def _tables(predictor: BranchPredictor):
     if hasattr(predictor, "banks"):
         tables = [bank.counters for bank in predictor.banks]
         return tables, predictor.update_policy
-    return [predictor.bank.counters], UpdatePolicy.TOTAL
+    return [_single_table(predictor)], UpdatePolicy.TOTAL
 
 
 def simulate_native(
@@ -308,11 +331,11 @@ def simulate_native(
     """Native-kernel counterpart of :func:`repro.sim.engine.simulate`.
 
     Identical arguments and result; also leaves the predictor's
-    counters and history register in the same final state the generic
-    engine would.  ``stage_timer`` (optional) accumulates per-stage
-    wall-clock under ``"precompute"`` (index streams + counter
-    marshalling), ``"walk"`` (the C loop) and ``"reduce"`` (state
-    writeback).
+    counters, agree-bias bits and history register in the same final
+    state the generic engine would.  ``stage_timer`` (optional)
+    accumulates per-stage wall-clock under ``"precompute"`` (index
+    streams + counter marshalling), ``"walk"`` (the C loop) and
+    ``"reduce"`` (state writeback).
 
     Raises:
         ValueError: if the predictor has no native path or the backend
@@ -337,14 +360,14 @@ def simulate_native(
     if n:
         tables, policy = _tables(predictor)
         with timer.stage("precompute"):
-            streams = _index_streams(predictor, trace)
+            streams, train, truth = _walk_inputs(predictor, trace)
             values = np.concatenate(
                 [np.asarray(table.values, dtype=np.int64) for table in tables]
             )
         with timer.stage("walk"):
             mispredictions = run_table_kernel(
-                streams, outcomes, values, policy, tables[0].threshold,
-                tables[0].max_value, warmup,
+                streams, train, values, policy, tables[0].threshold,
+                tables[0].max_value, warmup, truth,
             )
         with timer.stage("reduce"):
             entries = len(values) // len(tables)

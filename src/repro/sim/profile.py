@@ -9,12 +9,10 @@ distinguishes "a few hard branches" from "diffuse aliasing".
 
 The same "where, not just how much" question applies to the fast
 engines' wall-clock: :class:`StageTimer` accumulates per-stage seconds
-(history precompute / group argsort / scan / reduce; the native C tier
-reports ``bucket`` for its sort-free direct-bucket grouping, ``sort``
-for the LSD radix fallback, ``scan`` for the fused counter walk, and
-``counter_loop`` when a PARTIAL fixpoint bails to the exact sequential
-loop) when passed to ``simulate_vectorized`` /
-``simulate_scan`` / ``simulate_native`` via their ``stage_timer``
+(``precompute`` for the history and index streams, then
+``counter_loop`` for the vectorized Python loop, or ``walk`` for the
+native C walk and ``reduce`` for its state writeback) when passed to
+``simulate_vectorized`` / ``simulate_native`` via their ``stage_timer``
 argument, so a future perf regression in ``BENCH_engine.json`` is
 attributable to a pipeline stage rather than an opaque total.
 
@@ -45,9 +43,9 @@ class StageTimer:
     """Wall-clock accumulator for named engine pipeline stages.
 
     >>> timer = StageTimer()
-    >>> with timer.stage("scan"):
+    >>> with timer.stage("walk"):
     ...     pass
-    >>> sorted(timer.totals) == ["scan"]
+    >>> sorted(timer.totals) == ["walk"]
     True
 
     Repeated entries into the same stage accumulate, so one timer can be

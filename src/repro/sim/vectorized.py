@@ -1,10 +1,10 @@
 """Vectorized simulation engine: precomputed index streams.
 
 For the trace-determined predictors the big sweeps run most — bimodal,
-gshare, gselect, gskew and enhanced gskew — *every* table index is a pure
-function of the trace alone: training always uses the true branch outcome,
-so the global-history register contents at each event are fixed by the
-event stream before simulation starts.  This engine exploits that:
+gshare, gselect, agree, gskew and enhanced gskew — *every* table index is
+a pure function of the trace alone: training always uses the true branch
+outcome, so the global-history register contents at each event are fixed
+by the event stream before simulation starts.  This engine exploits that:
 
 1. the per-event global-history values are computed for the whole trace
    with numpy bit-ops over :class:`~repro.traces.trace.Trace`'s columns
@@ -17,18 +17,22 @@ event stream before simulation starts.  This engine exploits that:
    whose values feed back into later predictions — runs as a tight Python
    loop with no per-branch hashing, dispatch, or history bookkeeping.
 
+Agree's biasing bits latch to each branch's first outcome, so they are
+fixed by the trace too (:func:`_agree_streams`): its PHT is one table
+trained on "agreed with the latched bias", scored against the bias the
+prediction read before the latch.
+
 The native tier (:mod:`repro.sim.native`) runs the same step 3 as one
 compiled C loop over these streams; this Python loop is its fallback on
-hosts without a C compiler, below the numpy scan tier
-(:mod:`repro.sim.scan`) for the always-update families.
+hosts without a C compiler.
 
 The result is behaviourally identical to :func:`repro.sim.engine.simulate`
 (asserted by the equivalence suite in ``tests/sim/test_vectorized.py``,
 like the fused fast paths in the predictors themselves), including the
-predictor's final counter and history state.  :func:`simulate_fast`
-dispatches each spec to the fastest expressible engine — native, scan,
-then this loop engine, then the generic interpreter for anything none
-can express (tagged, per-address, hybrid and custom-skew schemes).
+predictor's final counter, bias and history state.  :func:`simulate_fast`
+dispatches each spec to the fastest expressible engine — native, then
+this loop engine, then the generic interpreter for anything neither can
+express (tagged, per-address, hybrid and custom-skew schemes).
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import numpy as np
 from repro.core.egskew import EnhancedSkewedPredictor
 from repro.core.gskew import SkewedPredictor
 from repro.core.update import UpdatePolicy
+from repro.predictors.agree import AgreePredictor
 from repro.predictors.base import BranchPredictor
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gselect import GselectPredictor
@@ -69,17 +74,17 @@ _MAX_HISTORY_BITS = 63
 #: registry (:mod:`repro.util.envvars`), re-exported here by name.
 ENGINE_ENV_VAR = envvars.ENGINE.name
 
-_ENGINE_NAMES = frozenset({"generic", "vectorized", "scan", "native"})
+_ENGINE_NAMES = frozenset({"generic", "vectorized", "native"})
 
 
 def forced_engine() -> Optional[str]:
     """The engine name forced via ``REPRO_ENGINE``, or None.
 
-    ``simulate_fast`` routes ``generic``/``vectorized``/``scan``/
-    ``native`` directly to that engine — a spec the engine cannot
-    express raises its usual ``ValueError`` instead of silently falling
-    back, which is the point: a forced benchmark or CI lane must fail
-    loudly rather than measure the wrong tier.  Unknown values raise
+    ``simulate_fast`` routes ``generic``/``vectorized``/``native``
+    directly to that engine — a spec the engine cannot express raises
+    its usual ``ValueError`` instead of silently falling back, which is
+    the point: a forced benchmark or CI lane must fail loudly rather
+    than measure the wrong tier.  Unknown values raise
     ``ValueError`` immediately.
     """
     value = envvars.ENGINE.text()
@@ -366,12 +371,83 @@ def _index_streams(
     return None
 
 
+def _agree_streams(
+    predictor: AgreePredictor, trace: Trace
+) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
+    """Agree's walk inputs: ``([PHT index stream], train, truth)``.
+
+    Each biasing bit latches to the outcome of its slot's first
+    execution, a pure function of the trace.  The PHT counters train
+    toward ``train`` (outcome == bias after latching), while a miss is
+    scored against ``truth`` (outcome == bias the prediction used — the
+    default taken at an unlatched first touch).  The newly latched bits
+    are written back into the predictor.
+    """
+    outcomes = _cond_takens(trace)
+    n = len(outcomes)
+    words = _cond_words(trace)
+    hist = _cond_history(
+        trace, predictor.history_bits, predictor.history.value
+    )
+    index = _gshare_stream(
+        words, hist, predictor.index_bits, predictor.history_bits
+    )
+    size = 1 << predictor.bias_table_bits
+    slots = (words & np.uint64(size - 1)).astype(np.intp)
+    first_touch = np.full(size, n, dtype=np.intp)
+    np.minimum.at(first_touch, slots, np.arange(n))
+    touched = np.flatnonzero(first_touch < n)
+
+    bias_table = predictor._bias
+    prior = [bias_table[slot] for slot in touched.tolist()]
+    latched = np.zeros(size, dtype=bool)
+    latched[touched] = [bit is not None for bit in prior]
+    latched_value = np.zeros(size, dtype=bool)
+    latched_value[touched] = [bool(bit) for bit in prior]
+
+    event_first = first_touch[slots]
+    latching_outcome = outcomes[event_first]
+    is_latched = latched[slots]
+    bias = latched_value[slots]
+    train_bias = np.where(is_latched, bias, latching_outcome)
+    is_first_touch = event_first == np.arange(n)
+    predict_bias = np.where(
+        is_latched, bias, is_first_touch | latching_outcome
+    )
+
+    newly = touched[~latched[touched]]
+    for slot, taken in zip(
+        newly.tolist(), outcomes[first_touch[newly]].tolist()
+    ):
+        bias_table[slot] = taken
+    return [index], outcomes == train_bias, outcomes == predict_bias
+
+
+def _walk_inputs(
+    predictor: BranchPredictor, trace: Trace
+) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
+    """``(index streams, train outcomes, truth outcomes)`` of the walk.
+
+    Counters train toward the first outcome stream and a miss is scored
+    against the second; both are the branch outcomes except for agree.
+    """
+    if type(predictor) is AgreePredictor:
+        return _agree_streams(predictor, trace)
+    outcomes = _cond_takens(trace)
+    return _index_streams(predictor, trace), outcomes, outcomes
+
+
 def supports(predictor: BranchPredictor, trace: Trace) -> bool:
     """True if ``predictor`` has a vectorized fast path over ``trace``."""
     kind = type(predictor)
     if kind is BimodalPredictor:
         return True
-    if kind in (GsharePredictor, GselectPredictor, EnhancedSkewedPredictor):
+    if kind in (
+        GsharePredictor,
+        GselectPredictor,
+        EnhancedSkewedPredictor,
+        AgreePredictor,
+    ):
         return predictor.history_bits <= _MAX_HISTORY_BITS
     if kind is SkewedPredictor:
         return (
@@ -388,12 +464,14 @@ def supports(predictor: BranchPredictor, trace: Trace) -> bool:
 def _loop_single(
     values: List[int], threshold: int, vmax: int,
     indices: Sequence[int], outcomes: Sequence[bool],
+    truths: Sequence[bool],
 ) -> int:
-    """One tag-less table: read, score, saturating update."""
+    """One tag-less table: read, score against ``truths``, saturating
+    update toward ``outcomes``."""
     miss = 0
-    for idx, t in zip(indices, outcomes):
+    for idx, t, ok in zip(indices, outcomes, truths):
         v = values[idx]
-        if (v >= threshold) != t:
+        if (v >= threshold) != ok:
             miss += 1
         if t:
             if v < vmax:
@@ -574,6 +652,13 @@ def _loop_voted(
 # -- the engine ------------------------------------------------------------
 
 
+def _single_table(predictor: BranchPredictor):
+    """Counter table of a one-table predictor (agree's PHT, or the bank)."""
+    if type(predictor) is AgreePredictor:
+        return predictor.pht.counters
+    return predictor.bank.counters
+
+
 def _final_history(takens: np.ndarray, bits: int, seed: int = 0) -> int:
     """Register contents after the whole trace has shifted through.
 
@@ -590,17 +675,21 @@ def _run_plan(
     predictor: BranchPredictor,
     streams: List[np.ndarray],
     outcomes: List[bool],
+    truths: List[bool],
     warmup: int,
 ) -> Tuple[int, int]:
-    """Drive the counter loop(s); returns (scored branches, mispredictions)."""
+    """Drive the counter loop(s); returns (scored branches, mispredictions).
+
+    ``truths`` differs from ``outcomes`` only for agree, a single table.
+    """
     index_lists = [stream.tolist() for stream in streams]
     scored = max(0, len(outcomes) - warmup)
 
-    if len(streams) == 1 and hasattr(predictor, "bank"):
-        counters = predictor.bank.counters
+    if not hasattr(predictor, "banks"):
+        counters = _single_table(predictor)
         run = lambda lo, hi: _loop_single(  # noqa: E731
             counters.values, counters.threshold, counters.max_value,
-            index_lists[0][lo:hi], outcomes[lo:hi],
+            index_lists[0][lo:hi], outcomes[lo:hi], truths[lo:hi],
         )
     elif len(streams) == 3:
         banks = predictor.banks
@@ -634,8 +723,9 @@ def simulate_vectorized(
 ) -> SimulationResult:
     """Vectorized-index counterpart of :func:`repro.sim.engine.simulate`.
 
-    Identical arguments and result; also leaves the predictor's counters
-    and history register in the same final state the generic engine would.
+    Identical arguments and result; also leaves the predictor's counters,
+    agree-bias bits and history register in the same final state the
+    generic engine would.
     ``stage_timer`` (optional) accumulates per-stage wall-clock under
     ``"precompute"`` (history + index streams) and ``"counter_loop"``.
 
@@ -648,17 +738,18 @@ def simulate_vectorized(
     timer = NULL_STAGE_TIMER if stage_timer is None else stage_timer
     history = getattr(predictor, "history", None)
     seed = history.value if history is not None else 0
+    if not supports(predictor, trace):
+        raise ValueError(
+            f"no vectorized path for {type(predictor).__name__}; "
+            "use simulate_fast() or the generic engine"
+        )
     with timer.stage("precompute"):
-        streams = _index_streams(predictor, trace)
-        if streams is None:
-            raise ValueError(
-                f"no vectorized path for {type(predictor).__name__}; "
-                "use simulate_fast() or the generic engine"
-            )
-        outcomes = _cond_takens(trace).tolist()
+        streams, train, truth = _walk_inputs(predictor, trace)
+        outcomes = train.tolist()
+        truths = outcomes if truth is train else truth.tolist()
     with timer.stage("counter_loop"):
         scored, mispredictions = _run_plan(
-            predictor, streams, outcomes, warmup
+            predictor, streams, outcomes, truths, warmup
         )
 
     if history is not None and history.bits:
@@ -705,17 +796,12 @@ def simulate_fast(
     uses):
 
     1. :func:`repro.sim.native.simulate_native` for every family this
-       module's index streams express (bimodal/gshare/gselect and
+       module's index streams express (bimodal/gshare/gselect/agree and
        gskew/e-gskew with 1, 3 or 5 banks under any update policy) —
        one sequential C walk, when the backend builds;
-    2. :func:`repro.sim.scan.simulate_scan` for agree and, without a C
-       compiler, the always-update families, where every table entry
-       is an independent FSM;
-    3. :func:`simulate_vectorized` for the remaining index-expressible
-       schemes without a C compiler — multi-bank PARTIAL/LAZY and
-       single-bank LAZY, whose updates read the prediction and so need
-       the sequential counter loop;
-    4. the generic interpreter for everything else (tagged, per-address,
+    2. :func:`simulate_vectorized` for the same families without a C
+       compiler — the same walk as a Python loop;
+    3. the generic interpreter for everything else (tagged, per-address,
        hybrid and custom-skew schemes).
 
     ``REPRO_ENGINE`` (see :func:`forced_engine`) overrides the whole
@@ -729,14 +815,13 @@ def simulate_fast(
     tier runs — every tier is bit-identical, so the degraded result is
     too.  The generic interpreter is the reference implementation and
     the final tier; its errors propagate.  The ``kernel-native`` /
-    ``kernel-scan`` / ``kernel-vectorized`` fault sites
+    ``kernel-vectorized`` fault sites
     (:mod:`repro.resilience.faults`) inject tier failures
     deterministically to prove that path.
     """
-    # Imported lazily: scan and native build on this module's index
-    # streams, so top-level imports here would be circular.
+    # Imported lazily: native builds on this module's index streams, so
+    # a top-level import here would be circular.
     from repro.sim.native import native_supports, simulate_native
-    from repro.sim.scan import scan_supports, simulate_scan
 
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
@@ -746,16 +831,12 @@ def simulate_fast(
         return simulate(predictor, trace, warmup=warmup, label=label)
     if forced == "vectorized":
         return simulate_vectorized(predictor, trace, warmup=warmup, label=label)
-    if forced == "scan":
-        return simulate_scan(predictor, trace, warmup=warmup, label=label)
     if forced == "native":
         return simulate_native(predictor, trace, warmup=warmup, label=label)
 
     tiers = []
     if native_supports(predictor, trace):
         tiers.append(("kernel-native", "native", simulate_native))
-    if scan_supports(predictor, trace):
-        tiers.append(("kernel-scan", "scan", simulate_scan))
     if supports(predictor, trace):
         tiers.append(("kernel-vectorized", "vectorized", simulate_vectorized))
     for site, tier_name, engine in tiers:

@@ -122,8 +122,8 @@ ENGINE = EnvVar(
     "REPRO_ENGINE",
     "choice",
     "(tiered dispatch)",
-    "Force one simulation engine: `generic`, `vectorized`, `scan` "
-    "or `native`; unknown names fail loudly.",
+    "Force one simulation engine: `generic`, `vectorized` or "
+    "`native`; unknown names fail loudly.",
 )
 
 FAULTS = EnvVar(
@@ -147,7 +147,7 @@ NATIVE = EnvVar(
     "flag",
     "1",
     "Set to `0` to disable the compiled C walk without uninstalling "
-    "anything (scan tier takes over).",
+    "anything (the vectorized loop takes over).",
 )
 
 NATIVE_CACHE = EnvVar(

@@ -8,15 +8,14 @@ including drift that moves all tiers in lockstep, which no equivalence
 test can see.
 
 Each of the six IBS-named workloads runs at a small scale through every
-engine tier (generic interpreter, vectorized loop, transition scan,
-native C walk) for one spec per engine-relevant family; the scan column
-covers the always-update specs it expresses.  Counts are exact integers — the engines are deterministic and
-bit-identical, so the comparison is equality, not a tolerance.  The
-native tier is optional by design: its rows skip with an explicit
-reason when the backend cannot build (no C compiler or cffi,
-``REPRO_NATIVE=0``) or the spec has no native path, so the suite stays
-green on compiler-less machines while still pinning the C kernel
-wherever it exists.
+engine tier (generic interpreter, vectorized loop, native C walk) for
+one spec per engine-relevant family.  Counts are exact integers — the
+engines are deterministic and bit-identical, so the comparison is
+equality, not a tolerance.  The native tier is optional by design: its
+rows skip with an explicit reason when the backend cannot build (no C
+compiler or cffi, ``REPRO_NATIVE=0``) or the spec has no native path,
+so the suite stays green on compiler-less machines while still pinning
+the C kernel wherever it exists.
 
 After an *intentional* change to traces or predictors, refresh with::
 
@@ -35,26 +34,25 @@ import pytest
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate
 from repro.sim.native import native_available, native_supports, simulate_native
-from repro.sim.scan import scan_supports, simulate_scan
 from repro.sim.vectorized import simulate_vectorized
 from repro.traces.synthetic.workloads import IBS_BENCHMARKS, ibs_trace
-from repro.traces.trace import Trace
 
 GOLDEN_PATH = Path(__file__).parent / "golden_rates.json"
 
-#: Small enough to keep 6 workloads x 5 specs x 4 tiers cheap, large
+#: Small enough to keep 6 workloads x 6 specs x 3 tiers cheap, large
 #: enough that every workload has thousands of conditional branches.
 GOLDEN_SCALE = 0.05
 
 #: One spec per engine-relevant family (always-update, default skew
-#: family, multi-bank PARTIAL, single-bank LAZY train-on-miss, in-range
-#: geometry).
+#: family, multi-bank PARTIAL, single-bank LAZY train-on-miss, agree's
+#: bias latch, in-range geometry).
 GOLDEN_SPECS = [
     "bimodal:512",
     "gshare:512:h8",
     "gskew:3x256:h6:total",
     "gskew:3x256:h6:partial",
     "gskew:1x256:h6:lazy",
+    "agree:512:h8",
 ]
 
 #: The serving tier's pinned replay: three tenants (one per workload)
@@ -118,7 +116,7 @@ def _simulate_native_checked(predictor, trace, label):
     if not native_available():
         pytest.skip(
             "native backend unavailable (no C compiler, no cffi, or "
-            "REPRO_NATIVE=0); the scan tier pins these numbers instead"
+            "REPRO_NATIVE=0); the vectorized tier pins these numbers instead"
         )
     if not native_supports(predictor, trace):
         pytest.skip(f"{label}: no native path at this geometry")
@@ -128,19 +126,14 @@ def _simulate_native_checked(predictor, trace, label):
 ENGINES = {
     "generic": simulate,
     "vectorized": simulate_vectorized,
-    "scan": simulate_scan,
     "native": _simulate_native_checked,
 }
 
-#: (spec, engine) cells of the matrix.  The scan tier expresses only the
-#: always-update families, so its column leaves LAZY and multi-bank
-#: PARTIAL to the generic, vectorized and native columns.
-_PROBE = Trace.from_columns([0x40], [1], [1], name="probe")
+#: (spec, engine) cells of the matrix.
 CASES = [
     pytest.param(spec, engine, id=f"{spec}-{engine}")
     for spec in GOLDEN_SPECS
     for engine in sorted(ENGINES)
-    if engine != "scan" or scan_supports(make_predictor(spec), _PROBE)
 ]
 
 

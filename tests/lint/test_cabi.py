@@ -70,14 +70,14 @@ class TestCleanWrapper:
 
     def test_real_native_module_lints_clean(self, project):
         # the real backend is the rule's raison d'être: one entry point,
-        # three buffer sites
+        # four buffer sites
         from pathlib import Path
 
         native = (
             Path(__file__).resolve().parents[2] / "src/repro/sim/native.py"
         )
         source = native.read_text(encoding="utf-8")
-        assert source.count("from_buffer") == 3
+        assert source.count("from_buffer") == 4
         project.write("src/fixture_native.py", source)
         kernel = native.with_name("_native_kernel.c")
         project.write("src/_native_kernel.c", kernel.read_text())

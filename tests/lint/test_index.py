@@ -139,11 +139,13 @@ class TestRealTree:
 
     def test_width_gates_reachable_from_kernel(self):
         index = ProjectContext(Path(__file__).resolve().parents[2]).index()
-        # The scan tier packs uint32 words in _pack_bank_blocks; its
-        # `key_bits + shift <= 32` gate sits one hop up, in _scan_voted,
-        # which is how R007 clears the packing site.
-        ball = index.neighborhood("repro.sim.scan", "_pack_bank_blocks")
-        assert ("repro.sim.scan", "_scan_voted") in ball
+        # The skew family packs `(pc >> 2) << h | hist` into uint64 in
+        # _skew_halves; the history-width gate
+        # (`bits <= _MAX_HISTORY_BITS`) sits two hops away in
+        # history_stream, through _cond_history.
+        ball = index.neighborhood("repro.sim.vectorized", "_skew_halves")
+        assert ("repro.sim.vectorized", "_cond_history") in ball
+        assert ("repro.sim.vectorized", "history_stream") in ball
 
     def test_native_kernel_callers(self):
         index = ProjectContext(Path(__file__).resolve().parents[2]).index()

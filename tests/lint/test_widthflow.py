@@ -187,23 +187,27 @@ class TestNativeGate:
         assert "R007" in NEVER_BASELINED
 
 
-class TestScanGate:
-    """R007 must rediscover why the scan tier's packed uint32 words need
-    their ``key_bits + shift <= 32`` gate."""
+class TestPackingGate:
+    """R007 must rediscover why packed uint32 group words need their
+    ``key_bits + shift <= 32`` gate, in the packing function or one
+    call-graph hop up (``tests/lint/data/packed_groups.py``)."""
 
-    SCAN = REPO_ROOT / "src" / "repro" / "sim" / "scan.py"
+    FIXTURE = REPO_ROOT / "tests" / "lint" / "data" / "packed_groups.py"
 
     def test_gates_removed_fire_on_packing_site(self, project):
-        source = self.SCAN.read_text(encoding="utf-8")
+        source = self.FIXTURE.read_text(encoding="utf-8")
         gate = "key_bits + shift <= 32"
-        assert gate in source, "the scan packing guard moved; update this test"
-        project.write("src/fixture_scan.py", source)
+        assert gate in source, "the fixture's guards moved"
+        project.write("src/fixture_groups.py", source)
         assert r007(project.lint(["R007"])) == []
-        project.write("src/fixture_scan.py", source.replace(gate, "True"))
+        project.write("src/fixture_groups.py", source.replace(gate, "True"))
         violations = r007(project.lint(["R007"]))
         assert violations, (
-            "removing the width comparison must expose the uint32 "
-            "key | position | outcome packing in _scan_single_table"
+            "removing the width comparisons must expose the uint32 "
+            "key | position | outcome packing"
         )
-        assert {v.symbol for v in violations} == {"_scan_single_table"}
+        assert {v.symbol for v in violations} == {
+            "group_single_table",
+            "_pack_bank_blocks",
+        }
         assert all("32" in v.message for v in violations)

@@ -22,14 +22,14 @@ from repro.sim.parallel import run_cells, recovery_stats
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import _snapshot_state, simulate_fast
 
-#: One spec per dispatch tier: native/scan-expressible, vectorized-only
-#: (multi-bank LAZY is the one coupled policy with no scan path; PARTIAL
-#: scans now), and generic-only (per-address history).
-SCAN_SPEC = "gshare:512:h8"
+#: Specs for the dispatch ladder: two the native walk and the
+#: vectorized loop both express (an always-update table and multi-bank
+#: LAZY), and one generic-only (per-address history).
+FAST_SPEC = "gshare:512:h8"
 VECTOR_SPEC = "gskew:3x64:h4:lazy"
 GENERIC_SPEC = "fa:16:h3"
 
-SWEEP_SPECS = [SCAN_SPEC, VECTOR_SPEC, GENERIC_SPEC, "bimodal:256"]
+SWEEP_SPECS = [FAST_SPEC, VECTOR_SPEC, GENERIC_SPEC, "bimodal:256"]
 
 
 def _clean_fast(spec, trace):
@@ -45,27 +45,13 @@ class TestKernelDegradation:
     ):
         if not native_available():
             pytest.skip("native backend unavailable; tier not in the ladder")
-        expected, expected_state = _clean_fast(SCAN_SPEC, tiny_trace)
+        expected, expected_state = _clean_fast(FAST_SPEC, tiny_trace)
         fault_env("kernel-native@1")
-        predictor = make_predictor(SCAN_SPEC)
+        predictor = make_predictor(FAST_SPEC)
         with pytest.warns(RuntimeWarning, match="native engine failed"):
-            degraded = simulate_fast(predictor, tiny_trace, label=SCAN_SPEC)
+            degraded = simulate_fast(predictor, tiny_trace, label=FAST_SPEC)
         assert degraded == expected
-        assert degraded.engine == "scan"  # one-level degradation
-        assert _snapshot_state(predictor) == expected_state
-
-    def test_scan_failure_degrades_bit_identically(
-        self, fault_env, tiny_trace, monkeypatch
-    ):
-        # Pin the scan tier to the front of the ladder (the native tier
-        # would otherwise absorb this spec and never dispatch scan).
-        monkeypatch.setenv("REPRO_NATIVE", "0")
-        expected, expected_state = _clean_fast(SCAN_SPEC, tiny_trace)
-        fault_env("kernel-scan@1")
-        predictor = make_predictor(SCAN_SPEC)
-        with pytest.warns(RuntimeWarning, match="scan engine failed"):
-            degraded = simulate_fast(predictor, tiny_trace, label=SCAN_SPEC)
-        assert degraded == expected
+        assert degraded.engine == "vectorized"  # one-level degradation
         # The failed tier's partial work was rolled back: the surviving
         # tier left the same final counters and history as a clean run.
         assert _snapshot_state(predictor) == expected_state
@@ -88,18 +74,17 @@ class TestKernelDegradation:
         self, fault_env, tiny_trace
     ):
         reference = simulate(
-            make_predictor(SCAN_SPEC), tiny_trace, label=SCAN_SPEC
+            make_predictor(FAST_SPEC), tiny_trace, label=FAST_SPEC
         )
-        fault_env("kernel-native@1,kernel-scan@1,kernel-vectorized@1")
+        fault_env("kernel-native@1,kernel-vectorized@1")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             degraded = simulate_fast(
-                make_predictor(SCAN_SPEC), tiny_trace, label=SCAN_SPEC
+                make_predictor(FAST_SPEC), tiny_trace, label=FAST_SPEC
             )
         assert degraded == reference
         assert degraded.engine == "generic"
         messages = [str(w.message) for w in caught]
-        assert any("scan engine failed" in m for m in messages)
         assert any("vectorized engine failed" in m for m in messages)
         if native_available():
             assert any("native engine failed" in m for m in messages)
@@ -109,16 +94,16 @@ class TestKernelDegradation:
     ):
         """A one-arrival window fires once; the next call is fault-free."""
         monkeypatch.setenv("REPRO_NATIVE", "0")
-        expected, _ = _clean_fast(SCAN_SPEC, tiny_trace)
-        fault_env("kernel-scan@1")
+        expected, _ = _clean_fast(FAST_SPEC, tiny_trace)
+        fault_env("kernel-vectorized@1")
         with pytest.warns(RuntimeWarning):
             simulate_fast(
-                make_predictor(SCAN_SPEC), tiny_trace, label=SCAN_SPEC
+                make_predictor(FAST_SPEC), tiny_trace, label=FAST_SPEC
             )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             clean = simulate_fast(
-                make_predictor(SCAN_SPEC), tiny_trace, label=SCAN_SPEC
+                make_predictor(FAST_SPEC), tiny_trace, label=FAST_SPEC
             )
         assert clean == expected
 

@@ -22,7 +22,6 @@ from repro.serving.server import (
 )
 from repro.sim.config import make_predictor
 from repro.sim.native import native_available
-from repro.sim.scan import scan_supports
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import simulate_fast
 from repro.traces.trace import Trace
@@ -30,33 +29,30 @@ from repro.traces.trace import Trace
 from tests.strategies import traces as trace_strategy
 
 #: Families for the tier-forced matrix: each runs on every forced tier
-#: that expresses it (generic always; vectorized/scan/native per their
-#: ``supports`` gates — the scan tier takes no LAZY family).
+#: (generic, vectorized, native).
 TIER_SPECS = [
     "bimodal:128",
     "gshare:128:h6",
     "gskew:3x128:h5:total",
     "gskew:1x128:h5:lazy",
+    "agree:128:h6",
 ]
 
-#: Families only some tiers express; the un-forced ladder must still
+#: Families served only through the un-forced ladder, which must still
 #: serve them bit-identically (falling back internally as needed).
 LADDER_ONLY_SPECS = [
-    "agree:128:h6",
     "gskew:3x128:h5:partial",
     "hybrid:128:h6",
     "fa:32:h4",
     "unaliased:h4",
 ]
 
-ENGINES = ["generic", "vectorized", "scan", "native"]
+ENGINES = ["generic", "vectorized", "native"]
 
 TIER_CASES = [
     pytest.param(spec, engine, id=f"{spec}-{engine}")
     for spec in TIER_SPECS
     for engine in ENGINES
-    if engine != "scan"
-    or scan_supports(make_predictor(spec), Trace.from_columns([0x40], [1], [1]))
 ]
 
 

@@ -2,13 +2,14 @@
 
 The native engine runs the whole predictor — per branch, read one
 counter per bank, vote, train under TOTAL, PARTIAL or LAZY — as one
-sequential C loop over precomputed index streams.  Its correctness
-argument is bit-identity with ``repro.sim.engine.simulate`` — same
-SimulationResult, same final counter values, same final history register
-— across every spec family it claims, plus a differential fuzz pinning
-the single cffi entry point ``repro_walk`` to a scalar oracle (the R006
-lint rule requires every kernel entry point to be referenced here by
-name).
+sequential C loop over precomputed index streams (agree as one table
+scored against the bias its prediction read).  Its correctness argument
+is bit-identity with ``repro.sim.engine.simulate`` — same
+SimulationResult, same final counter values, agree-bias bits and
+history register — across every spec family it claims, plus a
+differential fuzz pinning the single cffi entry point ``repro_walk`` to
+a scalar oracle (the R006 lint rule requires every kernel entry point
+to be referenced here by name).
 
 The whole module degrades cleanly when the backend cannot build: every
 test that needs the compiled kernel skips with an explicit reason, and
@@ -17,6 +18,8 @@ so the suite is green both with and without a C compiler.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +48,7 @@ from tests.strategies import traces as trace_strategy
 requires_native = pytest.mark.skipif(
     not native_available(),
     reason="native backend unavailable (no C compiler, no cffi, or "
-    "REPRO_NATIVE=0); the scan and vectorized tiers cover these specs",
+    "REPRO_NATIVE=0); the vectorized tier covers these specs",
 )
 
 #: Every spec family the native engine claims, including degenerate
@@ -76,12 +79,13 @@ NATIVE_SPECS = [
     "gskew:3x256:h6:lazy",  # multi-bank LAZY: counters freeze on hits
     "gskew:5x128:h5:lazy",
     "egskew:3x256:h6:lazy",
+    "agree:256:h5",  # one table scored against the pre-latch bias
+    "agree:256:h0",  # degenerate: PC-indexed PHT
+    "agree:64:h10",  # history > index bits (XOR folding)
 ]
 
-#: Specs with no native path: agree's bias latch and schemes with no
-#: closed-form index streams.
+#: Specs with no native path: schemes with no closed-form index streams.
 NO_NATIVE_SPECS = [
-    "agree:256:h5",
     "fa:64:h4",
     "unaliased:h6",
 ]
@@ -100,12 +104,16 @@ WALK_MATRIX = [
     "egskew:3x128:h6:total",
     "egskew:3x128:h6:partial",
     "egskew:3x128:h6:lazy",
+    "agree:512:h8",
+    "agree:64:h10",
 ]
 
 
 def _full_state(predictor):
-    """Snapshot all mutable predictor state (counters, history)."""
-    if hasattr(predictor, "banks"):
+    """Snapshot all mutable predictor state (counters, bias, history)."""
+    if hasattr(predictor, "pht"):
+        counters = [list(predictor.pht.counters.values), list(predictor._bias)]
+    elif hasattr(predictor, "banks"):
         counters = [list(bank.counters.values) for bank in predictor.banks]
     else:
         counters = [list(predictor.bank.counters.values)]
@@ -131,7 +139,13 @@ class TestEquivalence:
         _assert_walk_matches_generic(spec, small_trace)
 
     @pytest.mark.parametrize(
-        "spec", ["gshare:128:h6", "gskew:3x128:h5:total", "bimodal:128"]
+        "spec",
+        [
+            "gshare:128:h6",
+            "gskew:3x128:h5:total",
+            "bimodal:128",
+            "agree:128:h5",
+        ],
     )
     @pytest.mark.parametrize("warmup", [1, 137, 10**9])
     def test_warmup_equivalence(self, spec, warmup, tiny_trace):
@@ -199,6 +213,7 @@ class TestDegenerateTraces:
             "gskew:1x8:h3:lazy",
             "gskew:3x8:h3:partial",
             "gskew:3x8:h3:lazy",
+            "agree:8:h3",
         ],
     )
     def test_matches_generic_engine(self, name, spec):
@@ -334,7 +349,24 @@ class TestDispatch:
         expected = simulate(make_predictor(spec), tiny_trace)
         actual = simulate_fast(make_predictor(spec), tiny_trace)
         assert actual == expected
-        assert actual.engine == "scan"  # fell through to the next tier
+        assert actual.engine == "vectorized"  # fell through to the next tier
+
+    @pytest.mark.parametrize(
+        "spec", ["gshare:256:h4:c64", "gskew:3x64:h4:c64:partial"]
+    )
+    def test_wide_counters_skip_the_walk_quietly(self, spec, tiny_trace):
+        # A 64-bit counter's max_value does not fit the walk's int64, so
+        # native_supports must refuse it up front: no failed native
+        # attempt, no rollback warning, straight to the vectorized loop.
+        native_available()  # the one-time no-backend warning, if any
+        expected = simulate(make_predictor(spec), tiny_trace)
+        predictor = make_predictor(spec)
+        assert not native_supports(predictor, tiny_trace)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            actual = simulate_fast(predictor, tiny_trace)
+        assert actual == expected
+        assert actual.engine == "vectorized"
 
 
 class TestForcedEngine:
@@ -343,17 +375,16 @@ class TestForcedEngine:
         assert forced_engine() is None
 
     def test_unknown_value_fails_loudly(self, monkeypatch, tiny_trace):
-        # "grid" named the fused sweep-grid engine, which is gone.
-        for value in ("frobnicate", "grid"):
+        # "grid" and "scan" named the fused sweep-grid engine and the
+        # numpy scan tier, which are gone.
+        for value in ("frobnicate", "grid", "scan"):
             monkeypatch.setenv("REPRO_ENGINE", value)
             with pytest.raises(ValueError, match="not a known engine"):
                 forced_engine()
             with pytest.raises(ValueError, match="not a known engine"):
                 simulate_fast(make_predictor("bimodal:64"), tiny_trace)
 
-    @pytest.mark.parametrize(
-        "engine", ["generic", "vectorized", "scan", "native"]
-    )
+    @pytest.mark.parametrize("engine", ["generic", "vectorized", "native"])
     def test_forced_tier_is_recorded(self, engine, tiny_trace, monkeypatch):
         if engine == "native" and not native_available():
             pytest.skip("native backend unavailable; cannot force it")
@@ -366,11 +397,11 @@ class TestForcedEngine:
         assert actual.engine == engine
 
     def test_forced_engine_failure_is_loud(self, tiny_trace, monkeypatch):
-        # agree has no native path; a forced native run must raise, not
+        # fa has no native path; a forced native run must raise, not
         # silently measure another tier.
         monkeypatch.setenv("REPRO_ENGINE", "native")
         with pytest.raises(ValueError, match="no native path"):
-            simulate_fast(make_predictor("agree:128:h5"), tiny_trace)
+            simulate_fast(make_predictor("fa:64:h4"), tiny_trace)
 
     def test_engine_name_is_provenance_not_content(self, tiny_trace):
         # compare=False: results from different tiers stay equal.
@@ -378,15 +409,16 @@ class TestForcedEngine:
         b = simulate_fast(make_predictor("bimodal:64"), tiny_trace)
         assert a == b
         assert a.engine == "generic"
-        assert b.engine in ("native", "scan")
+        assert b.engine in ("native", "vectorized")
 
 
 def _reference_walk(
-    bank_keys, outcomes, bank_values, policy, threshold, vmax, warmup
+    bank_keys, outcomes, truth, bank_values, policy, threshold, vmax, warmup
 ):
     """Scalar oracle for ``repro_walk``: per-event majority vote over
-    per-bank saturating counters, training under ``policy``, miss
-    counting gated on ``warmup``."""
+    per-bank saturating counters, training toward ``outcomes`` under
+    ``policy``, misses scored against ``truth`` and gated on
+    ``warmup``."""
     banks = len(bank_keys)
     need = banks // 2 + 1
     misses = 0
@@ -395,8 +427,9 @@ def _reference_walk(
             bank_values[b][bank_keys[b][event]] >= threshold
             for b in range(banks)
         ]
-        wrong = (sum(preds) >= need) != taken
-        if wrong and event >= warmup:
+        vote = sum(preds) >= need
+        wrong = vote != taken
+        if vote != truth[event] and event >= warmup:
             misses += 1
         for b in range(banks):
             if policy is UpdatePolicy.LAZY and not wrong:
@@ -419,9 +452,11 @@ class TestKernelEntryPoints:
     def test_repro_walk_empty_input(self):
         ffi, lib = _backend()
         values = np.array([0, 3], dtype=np.int64)
+        empty = np.empty(0, dtype=np.uint8)
         misses = lib.repro_walk(
             ffi.from_buffer("uint64_t[]", np.empty(0, dtype=np.uint64)),
-            ffi.from_buffer("uint8_t[]", np.empty(0, dtype=np.uint8)),
+            ffi.from_buffer("uint8_t[]", empty),
+            ffi.from_buffer("uint8_t[]", empty),
             0, 1, 0, 2, 3,
             ffi.from_buffer("int64_t[]", values),
             2, 0,
@@ -437,9 +472,11 @@ class TestKernelEntryPoints:
         ffi, lib = _backend()
         values = np.zeros(max(banks, 1) * 2, dtype=np.int64)
         index = np.zeros(max(banks, 1) * 4, dtype=np.uint64)
+        ones = np.ones(4, dtype=np.uint8)
         misses = lib.repro_walk(
             ffi.from_buffer("uint64_t[]", index),
-            ffi.from_buffer("uint8_t[]", np.ones(4, dtype=np.uint8)),
+            ffi.from_buffer("uint8_t[]", ones),
+            ffi.from_buffer("uint8_t[]", ones),
             4, banks, 0, 2, 3,
             ffi.from_buffer("int64_t[]", values),
             2, 0,
@@ -461,8 +498,9 @@ class TestKernelEntryPoints:
     # Differential fuzz of repro_walk (via run_table_kernel's
     # marshalling) against the scalar oracle: small tables force heavy
     # aliasing, odd bank counts exercise the wrong-majority vote, every
-    # policy draws, warmup straddles the trace, and 1-bit counters hit
-    # both saturation rails.
+    # policy draws, warmup straddles the trace, 1-bit counters hit both
+    # saturation rails, and the truth stream is drawn independently of
+    # the training outcomes.
     @given(
         data=st.data(),
         banks=st.sampled_from([1, 3, 5]),
@@ -493,6 +531,10 @@ class TestKernelEntryPoints:
             st.lists(st.booleans(), min_size=length, max_size=length),
             label="outcomes",
         )
+        truth = data.draw(
+            st.lists(st.booleans(), min_size=length, max_size=length),
+            label="truth",
+        )
         init = [
             data.draw(
                 st.lists(
@@ -516,11 +558,12 @@ class TestKernelEntryPoints:
             threshold,
             max_value,
             warmup,
+            np.asarray(truth, dtype=bool),
         )
 
         oracle_values = [list(bank) for bank in init]
         expected = _reference_walk(
-            bank_keys, outcomes, oracle_values, policy, threshold,
+            bank_keys, outcomes, truth, oracle_values, policy, threshold,
             max_value, warmup,
         )
         assert misses == expected
@@ -539,6 +582,8 @@ class TestKernelEntryPoints:
                 "gskew:5x8:h3:partial",
                 "gskew:3x16:h3:lazy",
                 "egskew:3x16:h3:lazy",
+                "agree:8:h3",
+                "agree:16:h4",
             ]
         ),
         trace=trace_strategy(),

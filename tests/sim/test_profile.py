@@ -71,13 +71,13 @@ class TestProfile:
 class TestStageTimer:
     def test_accumulates_across_entries(self):
         timer = StageTimer()
-        with timer.stage("scan"):
+        with timer.stage("walk"):
             pass
-        first = timer.totals["scan"]
-        with timer.stage("scan"):
+        first = timer.totals["walk"]
+        with timer.stage("walk"):
             pass
-        assert timer.totals["scan"] >= first
-        assert set(timer.totals) == {"scan"}
+        assert timer.totals["walk"] >= first
+        assert set(timer.totals) == {"walk"}
 
     def test_exception_still_recorded(self):
         timer = StageTimer()
@@ -88,39 +88,30 @@ class TestStageTimer:
 
     def test_reset_and_as_dict(self):
         timer = StageTimer()
-        with timer.stage("argsort"):
+        with timer.stage("precompute"):
             pass
         rounded = timer.as_dict(digits=3)
-        assert set(rounded) == {"argsort"}
-        assert rounded["argsort"] == round(timer.totals["argsort"], 3)
+        assert set(rounded) == {"precompute"}
+        assert rounded["precompute"] == round(timer.totals["precompute"], 3)
         timer.reset()
         assert timer.totals == {}
 
     def test_null_timer_records_nothing(self):
-        with NULL_STAGE_TIMER.stage("scan"):
+        with NULL_STAGE_TIMER.stage("walk"):
             pass
         assert NULL_STAGE_TIMER.totals == {}
 
-    @pytest.mark.parametrize(
-        "engine", ["scan", "vectorized"], ids=["scan", "vectorized"]
-    )
+    @pytest.mark.parametrize("engine", ["vectorized"], ids=["vectorized"])
     def test_engines_populate_pipeline_stages(self, engine, tiny_trace):
-        from repro.sim.scan import simulate_scan
         from repro.sim.vectorized import simulate_vectorized
 
-        run = simulate_scan if engine == "scan" else simulate_vectorized
         timer = StageTimer()
-        run(
+        simulate_vectorized(
             make_predictor("gskew:3x128:h5:total"),
             tiny_trace,
             stage_timer=timer,
         )
-        if engine == "scan":
-            assert {"precompute", "argsort", "scan", "reduce"} <= set(
-                timer.totals
-            )
-        else:
-            assert {"precompute", "counter_loop"} <= set(timer.totals)
+        assert {"precompute", "counter_loop"} <= set(timer.totals)
         assert all(seconds >= 0.0 for seconds in timer.totals.values())
 
 

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro.sim.config import make_predictor
 from repro.sim.engine import simulate, simulate_stream
 from repro.sim.native import native_available, native_supports, simulate_native
-from repro.sim.scan import scan_supports, simulate_scan
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import simulate_fast, simulate_vectorized, supports
 from repro.traces.trace import Trace
@@ -36,7 +35,7 @@ SPLIT_SPECS = [
     "gskew:3x128:h5:lazy",  # multi-bank LAZY: native walk or the loop
     "gskew:3x16:h4:partial",  # dense PARTIAL: native walk or the loop
     "egskew:3x128:h6:partial",
-    "agree:128:h6",
+    "agree:128:h6",  # bias latches carry across pieces
 ]
 
 
@@ -63,7 +62,6 @@ def _run_split(engine, gate, spec, trace, cuts):
 TIERS = [
     ("generic", simulate, None),
     ("vectorized", simulate_vectorized, lambda p, t: supports(p, t)),
-    ("scan", simulate_scan, lambda p, t: scan_supports(p, t)),
     (
         "native",
         simulate_native,
@@ -72,16 +70,15 @@ TIERS = [
     ("fast", simulate_fast, None),
 ]
 
-#: Whether the vectorized and scan tiers express a family does not
-#: depend on the trace, so their columns list only the specs they take;
-#: the native column skips at run time when the backend cannot build.
+#: Whether the vectorized tier expresses a family does not depend on
+#: the trace, so its column lists only the specs it takes; the native
+#: column skips at run time when the backend cannot build.
 _PROBE = Trace.from_columns([0x40], [1], [1], name="probe")
 SPLIT_CASES = [
     pytest.param(tier, engine, gate, spec, id=f"{spec}-{tier}")
     for spec in SPLIT_SPECS
     for tier, engine, gate in TIERS
-    if tier not in ("vectorized", "scan")
-    or gate(make_predictor(spec), _PROBE)
+    if tier != "vectorized" or gate(make_predictor(spec), _PROBE)
 ]
 
 
