@@ -111,7 +111,6 @@ def measure_aliasing(
     entries: int,
     history_bits: int,
     schemes: Sequence[str] = ("gshare", "gselect"),
-    engine: str = "auto",
 ) -> Dict[str, AliasingBreakdown]:
     """One-pass 3Cs measurement for several index schemes at one size.
 
@@ -119,31 +118,19 @@ def measure_aliasing(
     fully-associative reference appears inside every breakdown (it does
     not depend on the index function).
 
-    ``engine`` selects the implementation: ``"vectorized"`` runs the
-    numpy engine (:mod:`repro.aliasing.vectorized`), ``"reference"`` the
-    per-reference tables, and ``"auto"`` (the default) the vectorized
-    engine whenever it supports the history length.  Both produce
-    bit-identical breakdowns; sweeps over many sizes should call
+    Runs the numpy engine (:mod:`repro.aliasing.vectorized`) whenever
+    it supports the history length, and the per-reference tables
+    otherwise; both produce bit-identical breakdowns.  Sweeps over many
+    sizes should call
     :func:`repro.aliasing.vectorized.measure_aliasing_sweep` directly so
     the stack-distance pass is shared across sizes.
     """
-    if engine not in ("auto", "vectorized", "reference"):
-        raise ValueError(
-            f"unknown engine {engine!r}; "
-            "expected auto, vectorized or reference"
-        )
-    if engine != "reference":
-        from repro.aliasing import vectorized
+    from repro.aliasing import vectorized
 
-        if vectorized.supports(history_bits):
-            return vectorized.measure_aliasing_vectorized(
-                trace, entries, history_bits, schemes
-            )
-        if engine == "vectorized":
-            raise ValueError(
-                f"vectorized engine does not support "
-                f"history_bits={history_bits}"
-            )
+    if vectorized.supports(history_bits):
+        return vectorized.measure_aliasing_vectorized(
+            trace, entries, history_bits, schemes
+        )
     return measure_aliasing_reference(trace, entries, history_bits, schemes)
 
 

@@ -65,7 +65,6 @@ def run_loadgen(
     sessions_per_workload: int = 8,
     chunk: int = 64,
     batch_size: Optional[int] = None,
-    shards: Optional[int] = None,
     verify: bool = True,
 ) -> Dict[str, object]:
     """Replay the interleaved IBS sessions; return the report dict.
@@ -75,7 +74,7 @@ def run_loadgen(
     tenant's batch fills slowly, across many turns).
     """
     sessions = _split_sessions(scale, sessions_per_workload)
-    service = PredictionService(shards=shards, batch_size=batch_size)
+    service = PredictionService(batch_size=batch_size)
     for session, _ in sessions:
         response = service.handle(
             {"op": "open", "session": session, "spec": spec}
@@ -113,7 +112,7 @@ def run_loadgen(
         stats = service.handle({"op": "sync", "session": session})
         latencies.append(time.perf_counter() - t0)
         digest = PredictorState.capture(
-            service.ring.shard_for(session).tenant(session).predictor
+            service.shard.tenant(session).predictor
         ).digest()
         finals[session] = {
             "conditional_branches": stats["conditional_branches"],
@@ -141,10 +140,9 @@ def run_loadgen(
         "sessions": len(sessions),
         "sessions_per_workload": sessions_per_workload,
         "chunk": chunk,
-        "batch_size": service.ring.shards[0].batch_size,
-        "shards": len(service.ring),
+        "batch_size": service.shard.batch_size,
         "events": events_total,
-        "flushes": service.ring.stats()["flushes"],
+        "flushes": service.shard.flushes,
         "elapsed_s": elapsed,
         "branches_per_s": events_total / elapsed if elapsed > 0 else 0.0,
         "p50_batch_latency_s": percentile(latencies, 0.50),
@@ -165,7 +163,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="sessions per workload (6 workloads)")
     parser.add_argument("--chunk", type=int, default=64)
     parser.add_argument("--batch", type=int, default=None)
-    parser.add_argument("--shards", type=int, default=None)
     parser.add_argument("--no-verify", action="store_true")
     args = parser.parse_args(argv)
     report = run_loadgen(
@@ -174,7 +171,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         sessions_per_workload=args.sessions,
         chunk=args.chunk,
         batch_size=args.batch,
-        shards=args.shards,
         verify=not args.no_verify,
     )
     report.pop("per_tenant")

@@ -13,8 +13,9 @@ Ops:
 =============  ==========================================================
 ``open``       ``session``, ``spec`` — create/attach a tenant
 ``events``     ``session``, ``events`` (list of ``[pc, taken]`` or
-               ``[pc, taken, conditional]``) — buffer events; batches
-               flush as they fill
+               ``[pc, taken, conditional]``; ``pc`` an integer in
+               ``[0, 2**64)``, the flags ``0``/``1``/``true``/``false``)
+               — buffer events; batches flush as they fill
 ``sync``       ``session`` — flush the tenant's pending buffer and
                return its cumulative stats (the read barrier)
 ``snapshot``   ``session`` — flush, then return the tenant's serialized
@@ -22,7 +23,7 @@ Ops:
 ``restore``    ``session``, ``state`` (hex) — flush pending, then load
                a previously snapshotted state into the tenant
 ``close``      ``session`` — flush, return final stats, drop the tenant
-``stats``      server-wide counters (shards, sessions, flushes, replays)
+``stats``      server-wide counters (sessions, flushes, replays)
 =============  ==========================================================
 """
 
@@ -47,6 +48,13 @@ OPS = frozenset(
 #: Ops that must name an open session.
 SESSION_OPS = frozenset({"events", "sync", "snapshot", "restore", "close"})
 
+#: Exclusive upper bound of a branch address (traces store ``uint64``).
+PC_LIMIT = 2 ** 64
+
+#: Types a ``taken``/``conditional`` flag may have (``1.0 == 1``, so the
+#: value test alone would let floats in).
+_FLAG_TYPES = (int, bool)
+
 
 class ProtocolError(ValueError):
     """A request line the server cannot interpret."""
@@ -61,8 +69,9 @@ def decode_request(line: bytes) -> Dict[str, Any]:
     """Parse and validate one request line.
 
     Raises :class:`ProtocolError` on undecodable JSON, a non-object
-    payload, an unknown ``op``, or missing required fields — the server
-    answers those with an error response rather than dying.
+    payload, an unknown ``op``, missing required fields, or an event
+    whose pc or flags a trace cannot hold — the server answers those
+    with an error response rather than dying.
     """
     try:
         request = json.loads(line.decode("utf-8"))
@@ -89,13 +98,21 @@ def decode_request(line: bytes) -> Dict[str, Any]:
             raise ProtocolError("events needs an 'events' list")
         for event in events:
             if (
-                not isinstance(event, list)
+                type(event) is not list
                 or not 2 <= len(event) <= 3
-                or not isinstance(event[0], int)
-                or event[0] < 0
+                or type(event[0]) is not int  # excludes bools
+                or not 0 <= event[0] < PC_LIMIT
+                or type(event[1]) not in _FLAG_TYPES
+                or event[1] not in (0, 1)
+                or (
+                    len(event) == 3
+                    and (type(event[2]) not in _FLAG_TYPES or event[2] not in (0, 1))
+                )
             ):
                 raise ProtocolError(
-                    "each event is [pc, taken] or [pc, taken, conditional]"
+                    "each event is [pc, taken] or [pc, taken, conditional] "
+                    "with 0 <= pc < 2**64 and 0/1/true/false flags; "
+                    f"got {event!r:.80}"
                 )
     if op == "restore" and not isinstance(request.get("state"), str):
         raise ProtocolError("restore needs a hex 'state' payload")

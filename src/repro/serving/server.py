@@ -1,29 +1,33 @@
-"""The prediction server: an asyncio front end over the shard ring.
+"""The prediction server: an asyncio front end over one tenant table.
 
 Two layers, separable on purpose:
 
 - :class:`PredictionService` is the synchronous request dispatcher —
-  shard ring, tenant lifecycle, micro-batch flushes.  It is directly
+  tenant table, tenant lifecycle, micro-batch flushes.  It is directly
   usable in-process (the differential tests drive it without sockets,
   so engine parity failures surface as clean assertions, not connection
   resets).
 - :class:`PredictionServer` wraps the service in an asyncio TCP server
   speaking the newline-JSON protocol (:mod:`repro.serving.protocol`),
-  with per-shard locks so concurrent clients interleave safely and a
-  linger timer so partial batches don't wait forever.
+  with one lock so concurrent clients interleave safely and a linger
+  timer so partial batches don't wait forever.
 
 Concurrency model: requests for one session are ordered by their
-connection (the protocol is request/response per line), and every shard
-mutation happens under that shard's :class:`asyncio.Lock`.  Flush
-boundaries never change results — the engines are warm-state exact — so
-the linger timer can fire whenever it likes; it trades tail latency
-against batch efficiency, nothing else.  That invariance is exactly what
+connection (the protocol is request/response per line), and every
+tenant-table mutation happens under the server's one
+:class:`asyncio.Lock`.  Each tenant already owns its own predictor, so
+the lock isolates nothing between tenants; it only keeps a request and
+a linger flush from interleaving.  Flush boundaries never change
+results — the engines are warm-state exact — so the linger timer can
+fire whenever it likes; it trades tail latency against batch
+efficiency, nothing else.  That invariance is exactly what
 ``tests/serving/`` proves differentially.
 """
 
 from __future__ import annotations
 
 import asyncio
+import warnings
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.serving.protocol import (
@@ -33,7 +37,7 @@ from repro.serving.protocol import (
     error_response,
     ok_response,
 )
-from repro.serving.shard import Shard, ShardRing
+from repro.serving.shard import Shard
 from repro.sim.state import PredictorState, StateError
 from repro.util import envvars
 
@@ -68,12 +72,8 @@ def default_linger_s() -> Optional[float]:
 class PredictionService:
     """Synchronous dispatcher: one request dict in, one response out."""
 
-    def __init__(
-        self,
-        shards: Optional[int] = None,
-        batch_size: Optional[int] = None,
-    ):
-        self.ring = ShardRing(shards=shards, batch_size=batch_size)
+    def __init__(self, batch_size: Optional[int] = None):
+        self.shard = Shard(batch_size)
 
     # -- request handling --------------------------------------------------
 
@@ -85,18 +85,17 @@ class PredictionService:
         server bug and propagates.
         """
         op = request["op"]
+        shard = self.shard
         if op == "stats":
-            return ok_response(**self.ring.stats())
+            return ok_response(**shard.stats())
         if op == "open":
             session, spec = request["session"], request["spec"]
-            shard = self.ring.shard_for(session)
             try:
                 shard.open(session, spec)
             except ValueError as exc:
                 return error_response(str(exc))
-            return ok_response(session=session, shard=shard.index)
+            return ok_response(session=session)
         session = request["session"]
-        shard = self.ring.shard_for(session)
         try:
             if op == "events":
                 return self._handle_events(shard, session, request["events"])
@@ -143,12 +142,6 @@ class PredictionService:
             pending=shard.tenant(session).pending,
         )
 
-    # -- barriers the async layer shares ----------------------------------
-
-    def flush_all(self) -> int:
-        """Flush every tenant on every shard (the linger-timer body)."""
-        return sum(shard.flush() for shard in self.ring.shards)
-
 
 class PredictionServer:
     """Asyncio TCP front end: newline-JSON requests over the service."""
@@ -157,11 +150,10 @@ class PredictionServer:
         self,
         host: str = "127.0.0.1",
         port: int = 0,
-        shards: Optional[int] = None,
         batch_size: Optional[int] = None,
         linger_s: Optional[float] = None,
     ):
-        self.service = PredictionService(shards=shards, batch_size=batch_size)
+        self.service = PredictionService(batch_size=batch_size)
         self.host = host
         self.port = port
         self.linger_s = default_linger_s() if linger_s is None else (
@@ -169,7 +161,7 @@ class PredictionServer:
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._linger_task: Optional[asyncio.Task] = None
-        self._locks: Tuple[asyncio.Lock, ...] = ()
+        self._lock: Optional[asyncio.Lock] = None
         self._connections: set = set()
 
     @property
@@ -183,9 +175,7 @@ class PredictionServer:
 
     async def start(self) -> "PredictionServer":
         """Bind the listening socket and start the linger flusher."""
-        self._locks = tuple(
-            asyncio.Lock() for _ in self.service.ring.shards
-        )
+        self._lock = asyncio.Lock()
         self._server = await asyncio.start_server(
             self._serve_connection, self.host, self.port, limit=LINE_LIMIT
         )
@@ -194,7 +184,7 @@ class PredictionServer:
         return self
 
     async def stop(self) -> None:
-        """Stop the linger flusher, flush every shard, close the socket."""
+        """Stop the linger flusher, close the socket, reap connections."""
         if self._linger_task is not None:
             self._linger_task.cancel()
             try:
@@ -223,23 +213,23 @@ class PredictionServer:
 
     # -- internals ---------------------------------------------------------
 
-    def _lock_for(self, request: Dict[str, Any]) -> Optional[asyncio.Lock]:
-        session = request.get("session")
-        if not isinstance(session, str):
-            return None
-        shard = self.service.ring.shard_for(session)
-        return self._locks[shard.index]
-
     async def _handle_line(self, line: bytes) -> Dict[str, Any]:
+        """One request line in, one response out; never raises.
+
+        A failure inside :meth:`PredictionService.handle` (an engine
+        error, a flush whose retries ran out) is answered as an error
+        for this request only; the connection and every other tenant
+        carry on.
+        """
         try:
             request = decode_request(line)
         except ProtocolError as exc:
             return error_response(str(exc))
-        lock = self._lock_for(request)
-        if lock is None:
-            return self.service.handle(request)
-        async with lock:
-            return self.service.handle(request)
+        async with self._lock:
+            try:
+                return self.service.handle(request)
+            except Exception as exc:  # noqa: BLE001 — answered per request
+                return error_response(f"{request['op']} failed: {exc!r}")
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -284,11 +274,22 @@ class PredictionServer:
 
         Safe at any cadence: flush boundaries are invisible to results,
         so this only bounds how long a slow tenant's tail events sit
-        unbatched (the latency side of the batching trade-off).
+        unbatched (the latency side of the batching trade-off).  Each
+        tenant flushes on its own: a failed flush warns and the pass
+        moves on to the next tenant (a flush whose fault replays ran
+        out has requeued its batch, so the next pass retries it).
         """
         assert self.linger_s is not None
+        shard = self.service.shard
         while True:
             await asyncio.sleep(self.linger_s)
-            for shard, lock in zip(self.service.ring.shards, self._locks):
-                async with lock:
-                    shard.flush()
+            async with self._lock:
+                for tenant in list(shard.tenants.values()):
+                    try:
+                        shard.flush_tenant(tenant)
+                    except Exception as exc:  # noqa: BLE001 — per tenant
+                        warnings.warn(
+                            f"linger flush of session {tenant.session!r} "
+                            f"failed ({exc!r}); flushing the other tenants",
+                            RuntimeWarning,
+                        )

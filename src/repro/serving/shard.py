@@ -1,15 +1,16 @@
-"""Per-tenant predictor state, sharded and micro-batched.
+"""Per-tenant predictor state, micro-batched.
 
 The serving data model: a **tenant** (client session) owns one live
-predictor; a **shard** owns an ordered set of tenants plus their pending
-event buffers.  Events arrive one at a time over the wire but are *not*
-fed through per-event Python calls — each tenant's pending buffer is
-flushed as a micro-batch :class:`~repro.traces.trace.Trace` through
-:func:`repro.sim.vectorized.simulate_fast`, which dispatches the
-native/vectorized tiers.  Because every fast tier honors warm predictor state
-(counters, bias latches, and — as of this layer — the history-register
-seed), the flush boundaries are invisible: any batching whatsoever
-produces predictions and final state byte-identical to one serial run.
+predictor; the **shard** owns the server's ordered table of tenants plus
+their pending event buffers.  Events arrive one at a time over the wire
+but are *not* fed through per-event Python calls — each tenant's pending
+buffer is flushed as a micro-batch :class:`~repro.traces.trace.Trace`
+through :func:`repro.sim.vectorized.simulate_fast`, which dispatches the
+native/vectorized tiers.  Because every fast tier honors warm predictor
+state (counters, bias latches, and — as of this layer — the
+history-register seed), the flush boundaries are invisible: any batching
+whatsoever produces predictions and final state byte-identical to one
+serial run.
 
 Crash safety: each flush snapshots the tenant's
 :class:`~repro.sim.state.PredictorState` first, runs the engine, then
@@ -21,8 +22,7 @@ byte-identical to the fault-free run by the resilience suite.
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -38,10 +38,7 @@ from repro.util import envvars
 __all__ = [
     "Tenant",
     "Shard",
-    "ShardRing",
     "default_batch_size",
-    "default_shard_count",
-    "shard_of",
 ]
 
 #: Documented default micro-batch size (see ``REPRO_SERVING_BATCH``).
@@ -52,30 +49,6 @@ def default_batch_size() -> int:
     """The flush threshold, from ``REPRO_SERVING_BATCH`` (min 1)."""
     value = envvars.SERVING_BATCH.int_value(DEFAULT_BATCH) or DEFAULT_BATCH
     return max(1, value)
-
-
-def default_shard_count(cpus: Optional[int] = None) -> int:
-    """Ring size from ``REPRO_SERVING_SHARDS`` (unset: CPUs, min 4)."""
-    value = envvars.SERVING_SHARDS.int_value()
-    if value is not None and value >= 1:
-        return value
-    import os
-
-    detected = cpus if cpus is not None else (os.cpu_count() or 1)
-    return max(4, detected)
-
-
-def shard_of(session: str, shards: int) -> int:
-    """Stable session→shard assignment.
-
-    sha256 rather than ``hash()``: the builtin is salted per process, and
-    shard assignment must be reproducible across runs and machines (the
-    golden serving tier pins per-tenant numbers).
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    digest = hashlib.sha256(session.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % shards
 
 
 class Tenant:
@@ -162,8 +135,7 @@ class Tenant:
 class Shard:
     """An ordered set of tenants flushed through the fast engines."""
 
-    def __init__(self, index: int, batch_size: Optional[int] = None):
-        self.index = index
+    def __init__(self, batch_size: Optional[int] = None):
         self.batch_size = (
             default_batch_size() if batch_size is None else max(1, batch_size)
         )
@@ -254,38 +226,10 @@ class Shard:
         del self.tenants[session]
         return stats
 
-
-class ShardRing:
-    """The session-hashed collection of shards one server owns."""
-
-    def __init__(
-        self,
-        shards: Optional[int] = None,
-        batch_size: Optional[int] = None,
-    ):
-        count = default_shard_count() if shards is None else max(1, shards)
-        self.shards: Tuple[Shard, ...] = tuple(
-            Shard(index, batch_size) for index in range(count)
-        )
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-    def shard_for(self, session: str) -> Shard:
-        """The shard that owns ``session``."""
-        return self.shards[shard_of(session, len(self.shards))]
-
-    def sessions(self) -> List[str]:
-        """Every open session across the ring."""
-        return [
-            session for shard in self.shards for session in shard.tenants
-        ]
-
     def stats(self) -> Dict[str, object]:
-        """Ring-wide counters: shards, sessions, flushes, replays."""
+        """Server-wide counters: sessions, flushes, replays."""
         return {
-            "shards": len(self.shards),
-            "sessions": sum(len(shard.tenants) for shard in self.shards),
-            "flushes": sum(shard.flushes for shard in self.shards),
-            "replays": sum(shard.replays for shard in self.shards),
+            "sessions": len(self.tenants),
+            "flushes": self.flushes,
+            "replays": self.replays,
         }

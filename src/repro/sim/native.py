@@ -21,11 +21,10 @@ The backend is optional.  cffi + a C compiler are probed lazily on
 first use; the shared object is cached under a version-fingerprinted
 directory (source + cdef + cffi/Python versions + platform) so rebuilds
 happen only when any of those change, and later processes just dlopen
-the cached module.  When the build fails — no compiler, no cffi, or
-``REPRO_NATIVE=0`` — :func:`native_available` reports False (with a
-one-time ``RuntimeWarning`` for real failures) and ``simulate_fast``
-falls back to the vectorized loop; nothing else in the library requires
-the backend.
+the cached module.  When the build fails — no compiler or no cffi —
+:func:`native_available` reports False (with a one-time
+``RuntimeWarning``) and ``simulate_fast`` falls back to the vectorized
+loop; nothing else in the library requires the backend.
 
 Results are bit-identical to :func:`repro.sim.engine.simulate`
 including final counter, agree-bias and history state (asserted by
@@ -71,11 +70,6 @@ __all__ = [
     "run_table_kernel",
     "simulate_native",
 ]
-
-#: Set to ``0`` to disable the backend without uninstalling anything —
-#: the no-compiler CI lane and the forced-fallback tests use this.
-#: Declared in the central registry (:mod:`repro.util.envvars`).
-NATIVE_ENV_VAR = envvars.NATIVE.name
 
 #: Overrides the build-cache directory (defaults to
 #: ``~/.cache/repro-native``, falling back to the system temp dir).
@@ -201,12 +195,8 @@ def native_available() -> bool:
     """True when the compiled backend can be (or was) built and loaded.
 
     The first call triggers the lazy build; a failure warns once
-    (``RuntimeWarning``) and sticks for the process.  Setting
-    ``REPRO_NATIVE=0`` reports False without probing the compiler at
-    all — the documented kill switch for fallback testing.
+    (``RuntimeWarning``) and sticks for the process.
     """
-    if envvars.NATIVE.text() == "0":
-        return False
     return not isinstance(_backend(), str)
 
 
@@ -215,7 +205,7 @@ def compiler_info() -> Optional[Dict[str, object]]:
 
     A dict with ``compiler`` (first line of the C compiler's
     ``--version``, or None when no compiler answers) and ``native``
-    (whether the backend is built and enabled).  Recorded in bench
+    (whether the backend is built).  Recorded in bench
     headers so throughput numbers carry the toolchain that produced
     them.  None — never an exception — when there is nothing to report
     at all (no compiler answers *and* no built backend), so the
@@ -254,8 +244,6 @@ def native_supports(predictor: BranchPredictor, trace: Trace) -> bool:
 
 
 def _checked_backend():
-    if envvars.NATIVE.text() == "0":
-        raise RuntimeError("native backend unavailable (REPRO_NATIVE=0)")
     backend = _backend()
     if isinstance(backend, str):
         raise RuntimeError(f"native backend unavailable ({backend})")

@@ -56,46 +56,16 @@ from repro.sim.metrics import SimulationResult
 from repro.sim.profile import NULL_STAGE_TIMER, StageTimer
 from repro.sim.state import PredictorState
 from repro.traces.trace import Trace
-from repro.util import envvars
 
 __all__ = [
     "supports",
     "simulate_vectorized",
     "simulate_fast",
     "history_stream",
-    "forced_engine",
 ]
 
 #: history lengths must fit a uint64 shift register
 _MAX_HISTORY_BITS = 63
-
-#: Forces one engine for benchmarking and CI lane isolation.  See
-#: :func:`forced_engine` for the semantics; declared in the central
-#: registry (:mod:`repro.util.envvars`), re-exported here by name.
-ENGINE_ENV_VAR = envvars.ENGINE.name
-
-_ENGINE_NAMES = frozenset({"generic", "vectorized", "native"})
-
-
-def forced_engine() -> Optional[str]:
-    """The engine name forced via ``REPRO_ENGINE``, or None.
-
-    ``simulate_fast`` routes ``generic``/``vectorized``/``native``
-    directly to that engine — a spec the engine cannot express raises
-    its usual ``ValueError`` instead of silently falling back, which is
-    the point: a forced benchmark or CI lane must fail loudly rather
-    than measure the wrong tier.  Unknown values raise
-    ``ValueError`` immediately.
-    """
-    value = envvars.ENGINE.text()
-    if not value:
-        return None
-    if value not in _ENGINE_NAMES:
-        raise ValueError(
-            f"{ENGINE_ENV_VAR}={value!r} is not a known engine; "
-            f"expected one of {sorted(_ENGINE_NAMES)}"
-        )
-    return value
 
 
 # -- index-stream precomputation (numpy, whole-trace) ----------------------
@@ -804,10 +774,10 @@ def simulate_fast(
     3. the generic interpreter for everything else (tagged, per-address,
        hybrid and custom-skew schemes).
 
-    ``REPRO_ENGINE`` (see :func:`forced_engine`) overrides the whole
-    ladder: the named engine runs directly, raising ``ValueError`` if
-    it cannot express the spec, so benchmarks and CI lanes measure
-    exactly the tier they name.
+    To run one tier alone, call it directly: :func:`simulate_native`,
+    :func:`simulate_vectorized` or :func:`repro.sim.engine.simulate`
+    (the two fast ones raise ``ValueError`` on a spec they cannot
+    express).
 
     A fast tier that *raises* degrades gracefully instead of killing
     the sweep: the predictor's state is rolled back to the pre-attempt
@@ -825,14 +795,6 @@ def simulate_fast(
 
     if warmup < 0:
         raise ValueError(f"warmup must be >= 0, got {warmup}")
-
-    forced = forced_engine()
-    if forced == "generic":
-        return simulate(predictor, trace, warmup=warmup, label=label)
-    if forced == "vectorized":
-        return simulate_vectorized(predictor, trace, warmup=warmup, label=label)
-    if forced == "native":
-        return simulate_native(predictor, trace, warmup=warmup, label=label)
 
     tiers = []
     if native_supports(predictor, trace):

@@ -34,14 +34,11 @@ __all__ = [
     "EnvVar",
     "REGISTRY",
     "CELL_TIMEOUT",
-    "ENGINE",
     "FAULTS",
     "JOBS",
-    "NATIVE",
     "NATIVE_CACHE",
     "SERVING_BATCH",
     "SERVING_LINGER_MS",
-    "SERVING_SHARDS",
     "TRACE_CACHE",
     "by_name",
     "markdown_table",
@@ -118,14 +115,6 @@ CELL_TIMEOUT = EnvVar(
     "the timeout.",
 )
 
-ENGINE = EnvVar(
-    "REPRO_ENGINE",
-    "choice",
-    "(tiered dispatch)",
-    "Force one simulation engine: `generic`, `vectorized` or "
-    "`native`; unknown names fail loudly.",
-)
-
 FAULTS = EnvVar(
     "REPRO_FAULTS",
     "plan",
@@ -142,14 +131,6 @@ JOBS = EnvVar(
     "`0` or negative means one worker per CPU, invalid means serial.",
 )
 
-NATIVE = EnvVar(
-    "REPRO_NATIVE",
-    "flag",
-    "1",
-    "Set to `0` to disable the compiled C walk without uninstalling "
-    "anything (the vectorized loop takes over).",
-)
-
 NATIVE_CACHE = EnvVar(
     "REPRO_NATIVE_CACHE",
     "path",
@@ -161,8 +142,8 @@ SERVING_BATCH = EnvVar(
     "REPRO_SERVING_BATCH",
     "int",
     "256",
-    "Serving-layer micro-batch size: a shard flushes a tenant's pending "
-    "events through the fast engines once this many accumulate.  Results "
+    "Serving-layer micro-batch size: a tenant's pending events flush "
+    "through the fast engines once this many accumulate.  Results "
     "are identical at every setting (flush boundaries don't change "
     "predictions); only latency/throughput move.",
 )
@@ -174,14 +155,6 @@ SERVING_LINGER_MS = EnvVar(
     "How long (milliseconds) the serving layer lets a partial batch "
     "linger before flushing it anyway; `0`/`off`/`none`/`disabled` "
     "flushes only on full batches and explicit syncs.",
-)
-
-SERVING_SHARDS = EnvVar(
-    "REPRO_SERVING_SHARDS",
-    "int",
-    "(CPU count, min 4)",
-    "Number of state shards the serving layer hashes tenant sessions "
-    "across; unset sizes the ring to the available CPUs (at least 4).",
 )
 
 TRACE_CACHE = EnvVar(
@@ -198,14 +171,11 @@ REGISTRY: Tuple[EnvVar, ...] = tuple(
     sorted(
         (
             CELL_TIMEOUT,
-            ENGINE,
             FAULTS,
             JOBS,
-            NATIVE,
             NATIVE_CACHE,
             SERVING_BATCH,
             SERVING_LINGER_MS,
-            SERVING_SHARDS,
             TRACE_CACHE,
         ),
         key=lambda var: var.name,

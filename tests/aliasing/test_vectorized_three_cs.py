@@ -232,9 +232,5 @@ class TestDispatch:
         assert auto == reference
 
     def test_explicit_vectorized_rejects_long_history(self, tiny_trace):
-        with pytest.raises(ValueError):
-            measure_aliasing(tiny_trace, 64, 64, engine="vectorized")
-
-    def test_unknown_engine_rejected(self, tiny_trace):
-        with pytest.raises(ValueError):
-            measure_aliasing(tiny_trace, 64, 4, engine="gpu")
+        with pytest.raises(ValueError, match="history bits"):
+            measure_aliasing_vectorized(tiny_trace, 64, 64)

@@ -58,3 +58,14 @@ def tiny_trace() -> Trace:
         scheduler=SchedulerConfig(kernel_share=0.0),
     )
     return generate_trace(config)
+
+
+@pytest.fixture
+def no_native_backend(monkeypatch):
+    """The state a failed native build leaves behind: the backend slot
+    holds an error string, so ``simulate_fast`` starts its ladder at the
+    vectorized loop and the walk wrappers raise."""
+    import repro.sim.native as native
+
+    monkeypatch.setattr(native, "_BACKEND", "RuntimeError: no C compiler")
+    monkeypatch.setattr(native, "_WARNED", True)

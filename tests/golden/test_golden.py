@@ -13,7 +13,7 @@ one spec per engine-relevant family.  Counts are exact integers — the
 engines are deterministic and bit-identical, so the comparison is
 equality, not a tolerance.  The native tier is optional by design: its
 rows skip with an explicit reason when the backend cannot build (no C
-compiler or cffi, ``REPRO_NATIVE=0``) or the spec has no native path,
+compiler or cffi) or the spec has no native path,
 so the suite stays green on compiler-less machines while still pinning
 the C kernel wherever it exists.
 
@@ -68,7 +68,7 @@ def _measure_serving() -> dict:
     """Per-tenant counts from the 3-tenant interleaved replay."""
     from repro.serving.server import PredictionService
 
-    service = PredictionService(shards=2, batch_size=SERVING_BATCH)
+    service = PredictionService(batch_size=SERVING_BATCH)
     sessions = {
         workload: ibs_trace(workload, GOLDEN_SCALE)
         for workload in SERVING_WORKLOADS
@@ -115,8 +115,8 @@ def _simulate_native_checked(predictor, trace, label):
     """
     if not native_available():
         pytest.skip(
-            "native backend unavailable (no C compiler, no cffi, or "
-            "REPRO_NATIVE=0); the vectorized tier pins these numbers instead"
+            "native backend unavailable (no C compiler or no cffi); "
+            "the vectorized tier pins these numbers instead"
         )
     if not native_supports(predictor, trace):
         pytest.skip(f"{label}: no native path at this geometry")

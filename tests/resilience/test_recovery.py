@@ -57,11 +57,10 @@ class TestKernelDegradation:
         assert _snapshot_state(predictor) == expected_state
 
     def test_vectorized_failure_degrades_bit_identically(
-        self, fault_env, tiny_trace, monkeypatch
+        self, fault_env, tiny_trace, no_native_backend
     ):
-        # Pin the vectorized loop to the front of the ladder (the native
-        # walk would otherwise take this spec first).
-        monkeypatch.setenv("REPRO_NATIVE", "0")
+        # Without a backend the vectorized loop is the front of the
+        # ladder (the native walk would otherwise take this spec first).
         expected, expected_state = _clean_fast(VECTOR_SPEC, tiny_trace)
         fault_env("kernel-vectorized@1")
         predictor = make_predictor(VECTOR_SPEC)
@@ -90,10 +89,9 @@ class TestKernelDegradation:
             assert any("native engine failed" in m for m in messages)
 
     def test_fault_consumed_then_clean(
-        self, fault_env, tiny_trace, monkeypatch
+        self, fault_env, tiny_trace, no_native_backend
     ):
         """A one-arrival window fires once; the next call is fault-free."""
-        monkeypatch.setenv("REPRO_NATIVE", "0")
         expected, _ = _clean_fast(FAST_SPEC, tiny_trace)
         fault_env("kernel-vectorized@1")
         with pytest.warns(RuntimeWarning):
@@ -137,7 +135,7 @@ class TestServingShardRecovery:
         stream still matches a fault-free serial run exactly."""
         expected, expected_digest = self._clean_serial(tiny_trace)
         fault_env("serving-shard@2")  # second flush dies mid-batch
-        shard = Shard(0, batch_size=37)
+        shard = Shard(batch_size=37)
         tenant = shard.open("s", self.SPEC)
         self._feed(shard, "s", tiny_trace)
         assert shard.replays == 1
@@ -155,7 +153,7 @@ class TestServingShardRecovery:
         event is lost and no partial batch is committed."""
         expected, expected_digest = self._clean_serial(tiny_trace)
         fault_env("serving-shard@1-")  # every flush arrival fails
-        shard = Shard(0, batch_size=16)
+        shard = Shard(batch_size=16)
         tenant = shard.open("s", self.SPEC)
         pre_digest = PredictorState.capture(tenant.predictor).digest()
         with pytest.raises(InjectedFault):
@@ -191,7 +189,7 @@ class TestServingShardRecovery:
         from repro.serving.server import PredictionService
 
         fault_env("serving-shard@1")
-        service = PredictionService(shards=1, batch_size=4)
+        service = PredictionService(batch_size=4)
         service.handle({"op": "open", "session": "s", "spec": "bimodal:64"})
         service.handle(
             {
@@ -205,6 +203,102 @@ class TestServingShardRecovery:
         assert stats["replays"] == 1
         assert stats["flushes"] == 1
 
+
+    def _served_over_socket(self, linger_s, scenario):
+        """Run ``scenario(client)`` against a live server
+        (``linger_s=0``: no linger timer); the server's shutdown must be
+        clean (no exception from ``stop``)."""
+        import asyncio
+
+        from repro.serving.client import PredictionClient
+        from repro.serving.server import PredictionServer
+
+        async def main():
+            server = PredictionServer(batch_size=64, linger_s=linger_s)
+            await server.start()
+            try:
+                host, port = server.address
+                async with PredictionClient(host, port) as client:
+                    return await scenario(client)
+            finally:
+                await server.stop()
+
+        return asyncio.run(main())
+
+    def _events(self, trace):
+        return [
+            (int(trace.pcs[i]), int(trace.takens[i]),
+             int(trace.conditionals[i]))
+            for i in range(len(trace))
+        ]
+
+    def test_failing_linger_flush_warns_and_carries_on(
+        self, fault_env, tiny_trace
+    ):
+        """The first linger flush uses up its replays: the batch is
+        requeued with a warning, the timer keeps running, a second
+        tenant's partial batch is still flushed, and shutdown is clean."""
+        import asyncio
+
+        first, second = tiny_trace.slice(0, 40), tiny_trace.slice(40, 90)
+        fault_env("serving-shard@1-3")  # one flush and both its replays
+
+        async def wait_for_flushes(client, count):
+            for _ in range(500):
+                if (await client.stats())["flushes"] >= count:
+                    return True
+                await asyncio.sleep(0.005)
+            return False
+
+        async def scenario(client):
+            await client.open("first", self.SPEC)
+            await client.open("second", self.SPEC)
+            await client.events("first", self._events(first))
+            first_flushed = await wait_for_flushes(client, 1)
+            await client.events("second", self._events(second))
+            second_flushed = await wait_for_flushes(client, 2)
+            finals = {}
+            for session in ("first", "second"):
+                stats = await client.sync(session)
+                state = await client.snapshot(session)
+                finals[session] = (
+                    stats["mispredictions"], stats["batches"], state.digest()
+                )
+            return first_flushed, second_flushed, finals
+
+        with pytest.warns(RuntimeWarning, match="linger flush of session"):
+            first_flushed, second_flushed, finals = self._served_over_socket(
+                0.002, scenario
+            )
+        assert first_flushed and second_flushed
+        for session, trace in (("first", first), ("second", second)):
+            expected, digest = self._clean_serial(trace)
+            # One linger flush each: the timer, not the sync, drained them.
+            assert finals[session] == (expected.mispredictions, 1, digest)
+
+    def test_exhausted_replays_answer_the_request_not_the_connection(
+        self, fault_env, tiny_trace
+    ):
+        """A request whose flush runs out of replays gets an error
+        response; the same connection then syncs the requeued batch."""
+        from repro.serving.client import ServingError
+
+        batch = tiny_trace.slice(0, 40)
+        fault_env("serving-shard@1-3")
+
+        async def scenario(client):
+            await client.open("s", self.SPEC)
+            await client.events("s", self._events(batch))
+            with pytest.raises(ServingError, match="InjectedFault"):
+                await client.sync("s")
+            stats = await client.sync("s")  # same connection, fault spent
+            state = await client.snapshot("s")
+            return stats["mispredictions"], stats["pending"], state.digest()
+
+        expected, digest = self._clean_serial(batch)
+        assert self._served_over_socket(0, scenario) == (
+            expected.mispredictions, 0, digest
+        )
 
 @pytest.mark.slow
 class TestWorkerRecovery:

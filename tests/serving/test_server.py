@@ -3,8 +3,10 @@
 The acceptance criterion of the serving layer, verbatim: N interleaved
 sessions through the server produce per-tenant results and final
 ``PredictorState`` byte-identical to N serial ``simulate_fast`` runs —
-across predictor families, engine tiers (``REPRO_ENGINE`` forced),
-mid-stream snapshot/restore, and arbitrary flush boundaries.
+across predictor families, engine tiers (each forced by rebinding the
+shard's ``simulate_fast``), mid-stream snapshot/restore, and arbitrary
+flush boundaries.  The request path also survives hostile input: a
+malformed event gets an error response, never a wedged tenant.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 import asyncio
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import repro.serving.shard as shard_module
 from repro.serving.client import PredictionClient, ServingError
 from repro.serving.server import (
     LINE_LIMIT,
@@ -21,9 +24,10 @@ from repro.serving.server import (
     PredictionService,
 )
 from repro.sim.config import make_predictor
-from repro.sim.native import native_available
+from repro.sim.engine import simulate
+from repro.sim.native import native_available, simulate_native
 from repro.sim.state import PredictorState
-from repro.sim.vectorized import simulate_fast
+from repro.sim.vectorized import simulate_fast, simulate_vectorized
 from repro.traces.trace import Trace
 
 from tests.strategies import traces as trace_strategy
@@ -47,7 +51,13 @@ LADDER_ONLY_SPECS = [
     "unaliased:h4",
 ]
 
-ENGINES = ["generic", "vectorized", "native"]
+#: Each tier by name, as the forced matrix binds it in place of the
+#: shard's ``simulate_fast``.
+ENGINES = {
+    "generic": simulate,
+    "vectorized": simulate_vectorized,
+    "native": simulate_native,
+}
 
 TIER_CASES = [
     pytest.param(spec, engine, id=f"{spec}-{engine}")
@@ -86,7 +96,7 @@ def _served_finals(service, sessions):
     for name in sessions:
         stats = service.handle({"op": "sync", "session": name})
         assert stats["ok"], stats
-        predictor = service.ring.shard_for(name).tenant(name).predictor
+        predictor = service.shard.tenant(name).predictor
         finals[name] = (
             stats["conditional_branches"],
             stats["mispredictions"],
@@ -126,23 +136,31 @@ class TestInterleavedVsSerial:
         """Interleaved == serial on every forced engine tier."""
         if engine == "native" and not native_available():
             pytest.skip("native backend unavailable")
-        monkeypatch.setenv("REPRO_ENGINE", engine)
+        ran = []
+
+        def forced(*args, **kwargs):
+            result = ENGINES[engine](*args, **kwargs)
+            ran.append(result.engine)
+            return result
+
+        monkeypatch.setattr(shard_module, "simulate_fast", forced)
         sessions = {f"t{i}": _ibs_like(i + 1, 400 + 30 * i) for i in range(4)}
         specs = {name: spec for name in sessions}
-        service = PredictionService(shards=3, batch_size=64)
+        service = PredictionService(batch_size=64)
         for name in sessions:
             service.handle({"op": "open", "session": name, "spec": spec})
         _interleave_round_robin(service, sessions, chunk=37)
         assert _served_finals(service, sessions) == _serial_finals(
             sessions, specs
         )
+        assert ran and set(ran) == {engine}
 
     @pytest.mark.parametrize("spec", LADDER_ONLY_SPECS)
     def test_ladder_parity_for_fallback_families(self, spec):
         """Families without full tier coverage still serve identically."""
         sessions = {f"t{i}": _ibs_like(10 + i, 350) for i in range(3)}
         specs = {name: spec for name in sessions}
-        service = PredictionService(shards=2, batch_size=48)
+        service = PredictionService(batch_size=48)
         for name in sessions:
             service.handle({"op": "open", "session": name, "spec": spec})
         _interleave_round_robin(service, sessions, chunk=23)
@@ -158,7 +176,7 @@ class TestInterleavedVsSerial:
             name = f"mix{i}"
             sessions[name] = _ibs_like(100 + i, 300)
             specs[name] = spec
-        service = PredictionService(shards=4, batch_size=32)
+        service = PredictionService(batch_size=32)
         for name in sessions:
             service.handle(
                 {"op": "open", "session": name, "spec": specs[name]}
@@ -183,7 +201,7 @@ class TestInterleavedVsSerial:
         """Arbitrary session count x chunking x batch size: still exact."""
         sessions = {f"f{i}": trace for i, trace in enumerate(traces)}
         specs = {name: spec for name in sessions}
-        service = PredictionService(shards=2, batch_size=batch_size)
+        service = PredictionService(batch_size=batch_size)
         for name in sessions:
             service.handle({"op": "open", "session": name, "spec": spec})
         _interleave_round_robin(service, sessions, chunk=chunk)
@@ -199,7 +217,7 @@ class TestInterleavedVsSerial:
     )
     def test_out_of_order_sync_barriers(self, trace, sync_points, spec):
         """Forced flushes at arbitrary points don't perturb results."""
-        service = PredictionService(shards=1, batch_size=32)
+        service = PredictionService(batch_size=32)
         service.handle({"op": "open", "session": "s", "spec": spec})
         marks = set(sync_points)
         for i in range(len(trace)):
@@ -225,7 +243,7 @@ class TestSnapshotRestore:
         trace = _ibs_like(5, 600)
         half = len(trace) // 2
 
-        service = PredictionService(shards=1, batch_size=50)
+        service = PredictionService(batch_size=50)
         service.handle({"op": "open", "session": "s", "spec": spec})
         first = [
             [int(trace.pcs[i]), int(trace.takens[i]),
@@ -247,7 +265,7 @@ class TestSnapshotRestore:
         for _ in range(2):
             service.handle({"op": "events", "session": "s", "events": rest})
             service.handle({"op": "sync", "session": "s"})
-            predictor = service.ring.shard_for("s").tenant("s").predictor
+            predictor = service.shard.tenant("s").predictor
             digests.append(PredictorState.capture(predictor).digest())
             restored = service.handle(
                 {"op": "restore", "session": "s", "state": snap["state"]}
@@ -264,7 +282,7 @@ class TestSnapshotRestore:
         )
 
     def test_corrupt_restore_payload_is_refused(self):
-        service = PredictionService(shards=1, batch_size=50)
+        service = PredictionService(batch_size=50)
         service.handle({"op": "open", "session": "s", "spec": "bimodal:64"})
         snap = service.handle({"op": "snapshot", "session": "s"})
         corrupted = snap["state"][:-8] + "deadbeef"
@@ -285,7 +303,7 @@ class TestAsyncServer:
             }
             spec = "gshare:128:h6"
             async with PredictionServer(
-                shards=2, batch_size=40, linger_s=0.002
+                batch_size=40, linger_s=0.002
             ) as server:
                 host, port = server.address
 
@@ -314,7 +332,7 @@ class TestAsyncServer:
                 served = await asyncio.gather(
                     *(drive(name, trace) for name, trace in sessions.items())
                 )
-                assert server.service.ring.stats()["sessions"] == 3
+                assert server.service.shard.stats()["sessions"] == 3
                 return dict(zip(sessions, served)), sessions, spec
 
         served, sessions, spec = asyncio.run(scenario())
@@ -323,7 +341,7 @@ class TestAsyncServer:
 
     def test_protocol_errors_are_answered_not_fatal(self):
         async def scenario():
-            async with PredictionServer(shards=1, batch_size=8) as server:
+            async with PredictionServer(batch_size=8) as server:
                 host, port = server.address
                 reader, writer = await asyncio.open_connection(host, port)
                 writer.write(b"this is not json\n")
@@ -359,7 +377,7 @@ class TestAsyncServer:
         ]
 
         async def scenario():
-            async with PredictionServer(shards=2, batch_size=32) as server:
+            async with PredictionServer(batch_size=32) as server:
                 host, port = server.address
                 async with PredictionClient(host, port) as client:
                     await client.open("calm", spec)
@@ -402,10 +420,197 @@ class TestAsyncServer:
 
     def test_unknown_session_error_surfaces_in_client(self):
         async def scenario():
-            async with PredictionServer(shards=1, batch_size=8) as server:
+            async with PredictionServer(batch_size=8) as server:
                 host, port = server.address
                 async with PredictionClient(host, port) as client:
                     with pytest.raises(ServingError, match="ghost"):
                         await client.sync("ghost")
 
         asyncio.run(scenario())
+
+
+#: Any JSON value, nested a little: what a hostile client can put in an
+#: event field.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2 ** 70), 2 ** 70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+#: Branch addresses from negative, through bools, to above 2**64, with
+#: the edges of the valid range drawn often.
+HOSTILE_PCS = st.one_of(
+    st.integers(-(2 ** 70), 2 ** 70),
+    st.sampled_from([-1, 0, 4, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 2 ** 65]),
+    st.booleans(),
+    JSON_VALUES,
+)
+
+#: ``taken``/``conditional`` flags: the valid four, or anything else.
+HOSTILE_FLAGS = st.one_of(st.sampled_from([0, 1, True, False]), JSON_VALUES)
+
+#: One event of 0 to 4 fields.
+HOSTILE_EVENTS = st.builds(
+    lambda pc, flags, fields: ([pc] + flags)[:fields],
+    HOSTILE_PCS,
+    st.lists(HOSTILE_FLAGS, min_size=3, max_size=3),
+    st.integers(0, 4),
+)
+
+#: A well-formed event, pcs up to the edge of the valid range.
+VALID_EVENTS = st.builds(
+    lambda pc, flags: [pc] + flags,
+    st.one_of(
+        st.integers(0, 2 ** 10),
+        st.sampled_from([2 ** 63, 2 ** 64 - 4, 2 ** 64 - 1]),
+    ),
+    st.lists(st.sampled_from([0, 1, True, False]), min_size=1, max_size=2),
+)
+
+#: An ``events`` payload: all well-formed (so the engines see extreme
+#: pcs), or a mix in which hostile events appear.
+EVENT_PAYLOADS = st.one_of(
+    st.lists(VALID_EVENTS, max_size=4),
+    st.lists(st.one_of(VALID_EVENTS, HOSTILE_EVENTS), max_size=4),
+)
+
+
+class TestHostileInput:
+    """Malformed events are refused per request; nothing wedges."""
+
+    def test_out_of_range_pc_is_refused_and_other_tenants_keep_flushing(
+        self,
+    ):
+        """A pc of 2**64 (or a bool, or a non-0/1 flag) gets an error
+        response on a connection that stays open; a second tenant on
+        another connection is still linger-flushed, bit-identically."""
+        import json
+
+        spec = "gshare:128:h6"
+        calm = _ibs_like(31, 90)
+        hostile_lines = [
+            [[2 ** 64, 1]],
+            [[True, 1]],
+            [[4, "no"]],
+            [[4, 1, 2]],
+        ]
+
+        async def scenario():
+            async with PredictionServer(
+                batch_size=256, linger_s=0.002
+            ) as server:
+                host, port = server.address
+                reader, writer = await asyncio.open_connection(host, port)
+
+                async def ask(request):
+                    writer.write(json.dumps(request).encode() + b"\n")
+                    await writer.drain()
+                    return json.loads(await reader.readline())
+
+                opened = await ask(
+                    {"op": "open", "session": "wedge", "spec": "bimodal:64"}
+                )
+                refusals = [
+                    await ask(
+                        {"op": "events", "session": "wedge", "events": line}
+                    )
+                    for line in hostile_lines
+                ]
+                await asyncio.sleep(0.02)  # linger passes over "wedge"
+                synced = await ask({"op": "sync", "session": "wedge"})
+
+                async with PredictionClient(host, port) as client:
+                    await client.open("calm", spec)
+                    await client.events(
+                        "calm",
+                        [
+                            (int(calm.pcs[i]), int(calm.takens[i]),
+                             int(calm.conditionals[i]))
+                            for i in range(len(calm))
+                        ],
+                    )
+                    for _ in range(400):  # the linger timer, not a sync
+                        if (await client.stats())["flushes"] >= 1:
+                            break
+                        await asyncio.sleep(0.005)
+                    stats = await client.sync("calm")
+                    state = await client.snapshot("calm")
+                writer.close()
+                return opened, refusals, synced, stats, state.digest()
+
+        opened, refusals, synced, stats, digest = asyncio.run(scenario())
+        assert opened["ok"] is True
+        for refusal in refusals:
+            assert refusal["ok"] is False
+            assert "0 <= pc < 2**64" in refusal["error"]
+        assert synced["ok"] is True and synced["events"] == 0
+        assert stats["batches"] == 1  # flushed by the linger timer
+        assert (
+            stats["conditional_branches"],
+            stats["mispredictions"],
+            digest,
+        ) == _serial_finals({"calm": calm}, {"calm": spec})["calm"]
+
+    @settings(max_examples=60, deadline=None)
+    @example(payloads=[[[2 ** 64, 1]], [[True, 1]], [[4, "no"]]], batch_size=1)
+    @given(
+        payloads=st.lists(EVENT_PAYLOADS, min_size=1, max_size=8),
+        batch_size=st.integers(1, 4),
+    )
+    def test_fuzzed_events_never_raise_or_disturb_a_neighbour(
+        self, payloads, batch_size
+    ):
+        """Every hostile ``events`` line is a ProtocolError or a response;
+        the hostile tenant and a calm neighbour both end exactly where
+        serial runs over the events each accepted end."""
+        import json
+
+        from repro.serving.protocol import ProtocolError, decode_request
+
+        spec = "gskew:3x64:h4:partial"
+        calm = _ibs_like(3, 12 * len(payloads))
+        service = PredictionService(batch_size=batch_size)
+        for name in ("hostile", "calm"):
+            service.handle({"op": "open", "session": name, "spec": spec})
+        accepted = []
+        for turn, payload in enumerate(payloads):
+            line = json.dumps(
+                {"op": "events", "session": "hostile", "events": payload}
+            ).encode()
+            try:
+                request = decode_request(line)
+            except ProtocolError:
+                pass
+            else:
+                response = service.handle(request)
+                assert response["ok"], response
+                accepted.extend(payload)
+            lo = 12 * turn
+            response = service.handle(
+                {
+                    "op": "events",
+                    "session": "calm",
+                    "events": [
+                        [int(calm.pcs[i]), int(calm.takens[i]),
+                         int(calm.conditionals[i])]
+                        for i in range(lo, lo + 12)
+                    ],
+                }
+            )
+            assert response["ok"], response
+        hostile = Trace.from_columns(
+            [event[0] for event in accepted],
+            [bool(event[1]) for event in accepted],
+            [bool(event[2]) if len(event) > 2 else True for event in accepted],
+            name="accepted",
+        )
+        served = _served_finals(service, {"hostile": hostile, "calm": calm})
+        assert served == _serial_finals(
+            {"hostile": hostile, "calm": calm},
+            {"hostile": spec, "calm": spec},
+        )

@@ -13,8 +13,9 @@ to be referenced here by name).
 
 The whole module degrades cleanly when the backend cannot build: every
 test that needs the compiled kernel skips with an explicit reason, and
-the dispatch tests that *disable* it (``REPRO_NATIVE=0``) keep running,
-so the suite is green both with and without a C compiler.
+the dispatch tests that put the backend in its failed-build state (the
+``no_native_backend`` fixture) keep running, so the suite is green both
+with and without a C compiler.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.sim.native import (
     simulate_native,
 )
 from repro.sim.profile import StageTimer
-from repro.sim.vectorized import forced_engine, simulate_fast
+from repro.sim.vectorized import simulate_fast, simulate_vectorized
 from repro.traces.synthetic.workloads import ibs_trace
 from repro.traces.trace import Trace
 
@@ -47,8 +48,8 @@ from tests.strategies import traces as trace_strategy
 
 requires_native = pytest.mark.skipif(
     not native_available(),
-    reason="native backend unavailable (no C compiler, no cffi, or "
-    "REPRO_NATIVE=0); the vectorized tier covers these specs",
+    reason="native backend unavailable (no C compiler or no cffi); "
+    "the vectorized tier covers these specs",
 )
 
 #: Every spec family the native engine claims, including degenerate
@@ -319,13 +320,13 @@ class TestDispatch:
         else:  # nothing to report at all
             assert masked is None
 
-    def test_kernel_wrappers_fail_cleanly_without_backend(self, monkeypatch):
-        # With the backend disabled, the walk wrapper — under every
-        # name the benchmark tracer wraps — must raise the explicit
-        # RuntimeError rather than crash or silently compute; the
-        # no-compiler CI lane runs this with the toolchain genuinely
-        # absent.
-        monkeypatch.setenv("REPRO_NATIVE", "0")
+    def test_kernel_wrappers_fail_cleanly_without_backend(
+        self, no_native_backend
+    ):
+        # After a failed build, the walk wrapper — under every name the
+        # benchmark tracer wraps — must raise the explicit RuntimeError
+        # rather than crash or silently compute; the no-compiler CI
+        # lane runs this with the toolchain genuinely absent.
         streams = [np.zeros(4, dtype=np.uint64)] * 3
         outcomes = np.ones(4, dtype=bool)
         values = np.zeros(6, dtype=np.int64)
@@ -335,10 +336,11 @@ class TestDispatch:
                     streams, outcomes, values, UpdatePolicy.PARTIAL, 1, 3, 0
                 )
 
-    def test_repro_native_0_disables_the_tier(self, tiny_trace, monkeypatch):
+    def test_failed_build_disables_the_tier(
+        self, tiny_trace, monkeypatch, no_native_backend
+    ):
         import repro.sim.native as native_module
 
-        monkeypatch.setenv("REPRO_NATIVE", "0")
         assert not native_available()
 
         def forbidden(*args, **kwargs):  # pragma: no cover — would fail
@@ -370,38 +372,28 @@ class TestDispatch:
 
 
 class TestForcedEngine:
-    def test_unset_means_no_force(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert forced_engine() is None
-
-    def test_unknown_value_fails_loudly(self, monkeypatch, tiny_trace):
-        # "grid" and "scan" named the fused sweep-grid engine and the
-        # numpy scan tier, which are gone.
-        for value in ("frobnicate", "grid", "scan"):
-            monkeypatch.setenv("REPRO_ENGINE", value)
-            with pytest.raises(ValueError, match="not a known engine"):
-                forced_engine()
-            with pytest.raises(ValueError, match="not a known engine"):
-                simulate_fast(make_predictor("bimodal:64"), tiny_trace)
+    """Each tier runs alone when called by name, and records its name."""
 
     @pytest.mark.parametrize("engine", ["generic", "vectorized", "native"])
-    def test_forced_tier_is_recorded(self, engine, tiny_trace, monkeypatch):
+    def test_forced_tier_is_recorded(self, engine, tiny_trace):
         if engine == "native" and not native_available():
             pytest.skip("native backend unavailable; cannot force it")
-        monkeypatch.setenv("REPRO_ENGINE", engine)
+        tier = {
+            "generic": simulate,
+            "vectorized": simulate_vectorized,
+            "native": simulate_native,
+        }[engine]
         spec = "gshare:128:h6"
-        actual = simulate_fast(make_predictor(spec), tiny_trace)
-        monkeypatch.delenv("REPRO_ENGINE")
+        actual = tier(make_predictor(spec), tiny_trace)
         expected = simulate(make_predictor(spec), tiny_trace)
         assert actual == expected
         assert actual.engine == engine
 
-    def test_forced_engine_failure_is_loud(self, tiny_trace, monkeypatch):
-        # fa has no native path; a forced native run must raise, not
-        # silently measure another tier.
-        monkeypatch.setenv("REPRO_ENGINE", "native")
+    def test_forced_engine_failure_is_loud(self, tiny_trace):
+        # fa has no native path; calling the native tier on it must
+        # raise, not silently run another tier.
         with pytest.raises(ValueError, match="no native path"):
-            simulate_fast(make_predictor("fa:64:h4"), tiny_trace)
+            simulate_native(make_predictor("fa:64:h4"), tiny_trace)
 
     def test_engine_name_is_provenance_not_content(self, tiny_trace):
         # compare=False: results from different tiers stay equal.
