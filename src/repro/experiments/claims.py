@@ -20,7 +20,7 @@ from repro.aliasing.three_cs import measure_aliasing
 from repro.experiments.common import load_benchmarks
 from repro.experiments.report import format_table
 from repro.sim.config import make_predictor
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 from repro.traces.trace import Trace
 
 __all__ = ["ClaimResult", "ClaimsReport", "run", "render", "CLAIMS"]
@@ -44,7 +44,7 @@ class ClaimsReport:
 
 
 def _ratio(spec: str, trace: Trace) -> float:
-    return simulate(make_predictor(spec), trace).misprediction_ratio
+    return simulate_fast(make_predictor(spec), trace).misprediction_ratio
 
 
 def _per_benchmark(
@@ -148,7 +148,7 @@ def _claim_model_overestimates(traces):
     from repro.predictors.unaliased import UnaliasedPredictor
 
     def predicate(trace):
-        unaliased = simulate(
+        unaliased = simulate_fast(
             UnaliasedPredictor(4, counter_bits=1), trace
         ).misprediction_ratio
         model = extrapolate_gskew(

@@ -28,7 +28,7 @@ from repro.core.skew import (
 )
 from repro.experiments.common import load_benchmarks
 from repro.experiments.report import format_table, percent
-from repro.sim.engine import simulate
+from repro.sim.vectorized import simulate_fast
 
 __all__ = ["SkewAblationResult", "run", "render", "FAMILIES"]
 
@@ -60,14 +60,19 @@ def run(
     for trace in traces:
         per_family: Dict[str, float] = {}
         for name, factory in FAMILIES.items():
+            # The paper's family is the predictor's default; passing it
+            # explicitly would mark it custom and keep it off the walk.
+            functions = (
+                None if factory is skew_function_family else factory(bank_bits, 3)
+            )
             predictor = SkewedPredictor(
                 bank_index_bits=bank_bits,
                 history_bits=history_bits,
                 banks=3,
                 update_policy="partial",
-                functions=factory(bank_bits, 3),
+                functions=functions,
             )
-            per_family[name] = simulate(predictor, trace).misprediction_ratio
+            per_family[name] = simulate_fast(predictor, trace).misprediction_ratio
         results[trace.name] = per_family
     return SkewAblationResult(
         history_bits=history_bits,

@@ -14,6 +14,12 @@ the full-experiments harness all address them uniformly.  The contract:
   ``size_sweep``, ``history_sweep``, ``simulate_specs``, ``run_cells``)
   passes ``jobs=`` — a sweep that drops ``jobs`` silently serialises
   the whole experiment.
+
+One clause covers *every* module under ``experiments/``: none imports
+or calls the generic interpreter ``repro.sim.engine.simulate``.
+``repro.sim.vectorized.simulate_fast`` returns the same result and
+falls back to that interpreter by itself for the families no fast tier
+expresses, so a direct call only skips the fast tiers.
 """
 
 from __future__ import annotations
@@ -23,11 +29,19 @@ import re
 from typing import Iterator, Optional, Set
 
 from repro.lint.engine import FileContext, ProjectContext, Rule, Violation
-from repro.lint.rules._ast_util import dotted_name
+from repro.lint.rules._ast_util import (
+    dotted_name,
+    import_aliases,
+    resolve_call_target,
+)
 
 __all__ = ["ExperimentContractRule"]
 
+_EXPERIMENT = re.compile(r"experiments/[^/]*\.py$")
 _TARGET = re.compile(r"experiments/(figure|table)[^/]*\.py$")
+
+#: The generic interpreter experiments reach only through simulate_fast.
+_GENERIC_ENGINE = "repro.sim.engine.simulate"
 
 #: Sweep helpers that accept (and should be handed) ``jobs``.
 _JOBS_AWARE = frozenset(
@@ -65,6 +79,23 @@ def _registered_modules(project: ProjectContext, runner_path) -> Optional[Set[st
     return registered
 
 
+def _generic_engine_uses(tree: ast.Module) -> Iterator[ast.AST]:
+    """Imports of, and attribute calls to, the generic ``simulate``."""
+    aliases = import_aliases(tree)
+    module, _, name = _GENERIC_ENGINE.rpartition(".")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module == module and any(a.name == name for a in node.names):
+                yield node
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            # A bare-name call is covered by its import above.
+            if _GENERIC_ENGINE in (
+                dotted_name(node.func),
+                resolve_call_target(node, aliases),
+            ):
+                yield node
+
+
 class ExperimentContractRule(Rule):
     """R003: enforce the figure/table module contract (module doc)."""
 
@@ -72,16 +103,29 @@ class ExperimentContractRule(Rule):
     name = "experiment-contract"
     description = (
         "figure/table modules expose run(..., jobs=...), register in "
-        "runner.py, and thread jobs into sweep calls"
+        "runner.py, and thread jobs into sweep calls; no experiment "
+        "module calls the generic engine directly"
     )
 
     def applies_to(self, ctx: FileContext) -> bool:
-        return _TARGET.search(ctx.rel_path) is not None
+        return _EXPERIMENT.search(ctx.rel_path) is not None
 
     def check_file(
         self, ctx: FileContext, project: ProjectContext
     ) -> Iterator[Violation]:
         module_name = ctx.path.stem
+        for node in _generic_engine_uses(ctx.tree):
+            yield self.violation(
+                ctx,
+                node,
+                module_name,
+                f"experiment uses {_GENERIC_ENGINE} directly; call "
+                "repro.sim.vectorized.simulate_fast, which gives the same "
+                "result and falls back to the generic engine by itself",
+            )
+        if _TARGET.search(ctx.rel_path) is None:
+            return
+
         run_fn: Optional[ast.FunctionDef] = None
         for node in ctx.tree.body:
             if isinstance(node, ast.FunctionDef) and node.name == "run":

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.predictors.base import BranchPredictor
 from repro.resilience.faults import InjectedFault, maybe_fail
-from repro.sim.config import make_predictor
+from repro.sim.config import make_predictor, table_entries
 from repro.sim.parallel import RETRY_LIMIT
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import simulate_fast
@@ -36,6 +36,7 @@ from repro.traces.trace import Trace
 from repro.util import envvars
 
 __all__ = [
+    "MAX_TABLE_ENTRIES",
     "Tenant",
     "Shard",
     "default_batch_size",
@@ -43,6 +44,11 @@ __all__ = [
 
 #: Documented default micro-batch size (see ``REPRO_SERVING_BATCH``).
 DEFAULT_BATCH = 256
+
+#: Most table entries one tenant's spec may size (see
+#: :func:`repro.sim.config.table_entries`): 1M, about 8 MB of counter
+#: list per tenant, which admits the largest geometry swept (3 x 256K).
+MAX_TABLE_ENTRIES = 1 << 20
 
 
 def default_batch_size() -> int:
@@ -147,7 +153,9 @@ class Shard:
         """Create (or return) the tenant for ``session``.
 
         Reconnecting with a different spec is a client bug and fails
-        loudly rather than silently resetting predictor state.
+        loudly rather than silently resetting predictor state.  A spec
+        sizing more than :data:`MAX_TABLE_ENTRIES` table entries is
+        refused before anything is allocated.
         """
         tenant = self.tenants.get(session)
         if tenant is not None:
@@ -157,6 +165,12 @@ class Shard:
                     f"{tenant.spec!r}, not {spec!r}"
                 )
             return tenant
+        entries = table_entries(spec)
+        if entries > MAX_TABLE_ENTRIES:
+            raise ValueError(
+                f"spec {spec!r} sizes {entries} table entries; the server "
+                f"limit is {MAX_TABLE_ENTRIES} entries per tenant"
+            )
         tenant = Tenant(session, spec)
         self.tenants[session] = tenant
         return tenant
@@ -183,7 +197,8 @@ class Shard:
         applied; recovery restores the pre-batch snapshot and replays the
         identical batch.  After :data:`repro.sim.parallel.RETRY_LIMIT`
         replays the batch is requeued (pending events are never lost) and
-        the fault propagates to the caller.
+        the fault propagates to the caller.  Any other engine error
+        propagates at once, after the same rollback and requeue.
         """
         batch = tenant.drain()
         if batch is None:
@@ -202,6 +217,12 @@ class Shard:
                     raise
                 self.replays += 1
                 continue
+            except BaseException:
+                # A real engine error: nothing was committed, so the
+                # batch goes back in front of the buffer, not away.
+                tenant.restore(snapshot)
+                tenant.requeue(batch)
+                raise
             tenant.conditional_branches += result.conditional_branches
             tenant.mispredictions += result.mispredictions
             tenant.batches += 1

@@ -9,9 +9,10 @@ is a paired analysis per branch:
 - :func:`paired_outcomes` runs two predictors in lockstep and counts the
   2x2 agreement table (both right / only A right / only B right / both
   wrong);
-- :func:`mcnemar` performs McNemar's exact-ish test on the discordant
-  counts (normal approximation with continuity correction; exact
-  binomial via scipy when the discordant count is small);
+- :func:`mcnemar` performs McNemar's test on the discordant counts
+  (the exact binomial tail, from the standard library, when the
+  discordant count is small; otherwise the chi-squared approximation
+  with continuity correction);
 - :func:`bootstrap_difference` gives a percentile bootstrap confidence
   interval on the misprediction-ratio difference, resampling branch
   blocks to respect the stream's autocorrelation.
@@ -111,8 +112,9 @@ def paired_outcomes(
 def mcnemar(paired: PairedOutcomes) -> float:
     """Two-sided McNemar p-value on the discordant branch pairs.
 
-    Small discordant counts use the exact binomial test (scipy);
-    otherwise the chi-squared approximation with continuity correction.
+    Up to 100 discordant pairs use the exact two-sided binomial test
+    (``math.comb``, no scipy); above that, the chi-squared approximation
+    with continuity correction.
     A small p-value means the two predictors' error sets genuinely
     differ — not merely that their rates differ by sampling noise.
     """
@@ -122,10 +124,10 @@ def mcnemar(paired: PairedOutcomes) -> float:
     if discordant == 0:
         return 1.0
     if discordant <= 100:
-        from scipy import stats
-
-        result = stats.binomtest(min(n_a, n_b), discordant, 0.5)
-        return min(1.0, result.pvalue)
+        # Exact binomial test at p = 1/2: the distribution is symmetric,
+        # so the two-sided p-value is twice the lower tail.
+        tail = sum(math.comb(discordant, i) for i in range(min(n_a, n_b) + 1))
+        return min(1.0, 2 * tail / 2**discordant)
     statistic = (abs(n_a - n_b) - 1.0) ** 2 / discordant
     # Survival function of chi^2 with 1 dof: erfc(sqrt(x/2)).
     return math.erfc(math.sqrt(statistic / 2.0))

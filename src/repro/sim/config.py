@@ -23,7 +23,7 @@ must be powers of two.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.core.bcgskew import BcGskewPredictor
 from repro.core.egskew import EnhancedSkewedPredictor
@@ -43,7 +43,22 @@ from repro.predictors.static import (
 from repro.predictors.two_level import PAsPredictor
 from repro.predictors.unaliased import UnaliasedPredictor
 
-__all__ = ["parse_size", "make_predictor", "format_entries"]
+__all__ = ["parse_size", "make_predictor", "format_entries", "table_entries"]
+
+#: Tables of the spec's size each single-size kind allocates: agree adds
+#: its bias table; bi-mode has two direction tables and a choice table;
+#: the hybrid a bimodal, a gshare and a chooser; 2Bc-gskew BIM, G0, G1
+#: and META.
+_TABLES_PER_SIZE = {
+    "gshare": 1,
+    "gselect": 1,
+    "bimodal": 1,
+    "fa": 1,
+    "agree": 2,
+    "bimode": 3,
+    "hybrid": 3,
+    "2bcgskew": 4,
+}
 
 
 def parse_size(token: str) -> int:
@@ -104,6 +119,63 @@ def _parse_common(fields: List[str]) -> Dict[str, object]:
     return options
 
 
+def _size_field(kind: str, rest: List[str]) -> int:
+    """The entry count of a single-size spec (``gshare:4k:...``)."""
+    if not rest:
+        raise ValueError(f"{kind} spec needs a size, e.g. '{kind}:4k'")
+    return parse_size(rest[0])
+
+
+def _geometry(kind: str, rest: List[str]) -> Tuple[int, int]:
+    """``(banks, entries per bank)`` of a ``gskew:3x4k``-style spec."""
+    if not rest or "x" not in rest[0].lower():
+        raise ValueError(f"{kind} spec needs a geometry, e.g. '{kind}:3x4k'")
+    banks_token, _, size_token = rest[0].lower().partition("x")
+    return int(banks_token), parse_size(size_token)
+
+
+def _pas_geometry(rest: List[str]) -> Tuple[int, int, int]:
+    """``(history registers, history width, counters)`` of a PAs spec."""
+    # "pas:<histtable>/h<bits>:<counters>[...]"
+    if not rest or "/" not in rest[0]:
+        raise ValueError(
+            "pas spec needs '<history-table>/h<bits>:<counter-table>'"
+        )
+    table_token, _, width_token = rest[0].partition("/")
+    if not width_token.lower().startswith("h"):
+        raise ValueError(f"malformed PAs history width {width_token!r}")
+    history_entries = parse_size(table_token)
+    history_width = int(width_token[1:])
+    if len(rest) < 2:
+        raise ValueError("pas spec needs a counter-table size")
+    return history_entries, history_width, parse_size(rest[1])
+
+
+def table_entries(spec: str) -> int:
+    """Table entries ``make_predictor(spec)`` would allocate, unbuilt.
+
+    Counts every counter, bias latch and per-address history register
+    the spec's size fields ask for; a fully-associative table counts its
+    capacity.  Specs that size no table (static, unaliased) count 0.
+    Raises ``ValueError`` as :func:`make_predictor` does on a malformed
+    size or geometry.
+    """
+    fields = _split_fields(spec)
+    if not fields:
+        raise ValueError("empty predictor spec")
+    kind = fields[0].lower()
+    rest = fields[1:]
+    if kind in _TABLES_PER_SIZE:
+        return _TABLES_PER_SIZE[kind] * _size_field(kind, rest)
+    if kind in ("gskew", "egskew"):
+        banks, bank_entries = _geometry(kind, rest)
+        return banks * bank_entries
+    if kind == "pas":
+        history_entries, _, counter_entries = _pas_geometry(rest)
+        return history_entries + counter_entries
+    return 0
+
+
 def make_predictor(spec: str) -> BranchPredictor:
     """Build a predictor from a spec string (see module docstring)."""
     fields = _split_fields(spec)
@@ -124,11 +196,8 @@ def make_predictor(spec: str) -> BranchPredictor:
         history = _require_history(kind, options)
         return UnaliasedPredictor(history, counter_bits=options["counter_bits"])
 
-    if kind in ("gshare", "gselect", "bimodal", "fa", "hybrid", "agree",
-                "bimode", "2bcgskew"):
-        if not rest:
-            raise ValueError(f"{kind} spec needs a size, e.g. '{kind}:4k'")
-        entries = parse_size(rest[0])
+    if kind in _TABLES_PER_SIZE:
+        entries = _size_field(kind, rest)
         options = _parse_common(rest[1:])
         counter_bits = options["counter_bits"]
         if kind == "bimodal":
@@ -156,13 +225,7 @@ def make_predictor(spec: str) -> BranchPredictor:
         return HybridPredictor(bits, bits, bits, history, counter_bits)
 
     if kind in ("gskew", "egskew"):
-        if not rest or "x" not in rest[0].lower():
-            raise ValueError(
-                f"{kind} spec needs a geometry, e.g. '{kind}:3x4k'"
-            )
-        banks_token, _, size_token = rest[0].lower().partition("x")
-        banks = int(banks_token)
-        bank_entries = parse_size(size_token)
+        banks, bank_entries = _geometry(kind, rest)
         options = _parse_common(rest[1:])
         history = _require_history(kind, options)
         policy = options["policy"] or "partial"
@@ -184,19 +247,7 @@ def make_predictor(spec: str) -> BranchPredictor:
         )
 
     if kind == "pas":
-        # "pas:<histtable>/h<bits>:<counters>[...]"
-        if not rest or "/" not in rest[0]:
-            raise ValueError(
-                "pas spec needs '<history-table>/h<bits>:<counter-table>'"
-            )
-        table_token, _, width_token = rest[0].partition("/")
-        if not width_token.lower().startswith("h"):
-            raise ValueError(f"malformed PAs history width {width_token!r}")
-        history_entries = parse_size(table_token)
-        history_width = int(width_token[1:])
-        if len(rest) < 2:
-            raise ValueError("pas spec needs a counter-table size")
-        counter_entries = parse_size(rest[1])
+        history_entries, history_width, counter_entries = _pas_geometry(rest)
         options = _parse_common(rest[2:])
         return PAsPredictor(
             history_table_bits=_index_bits(history_entries),

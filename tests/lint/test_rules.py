@@ -3,6 +3,10 @@ violations and stays silent on the sanctioned pattern next to them."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
+DATA = Path(__file__).parent / "data"
+
 
 def _rules_hit(report):
     return sorted({v.rule_id for v in report.violations})
@@ -212,6 +216,22 @@ class TestR003ExperimentContract:
             def run(jobs=None):
                 return size_sweep([1, 2], 4, jobs=jobs)
             """,
+        )
+        assert project.lint(["R003"]).clean
+
+    def test_generic_engine_use_flagged(self, project):
+        project.write(
+            "src/repro/experiments/ablation.py",
+            (DATA / "experiment_generic_engine.py").read_text(encoding="utf-8"),
+        )
+        report = project.lint(["R003"])
+        assert sorted(v.line for v in report.violations) == [10, 15, 16]
+        assert all("simulate_fast" in m for m in _messages(report))
+
+    def test_fast_engine_use_is_clean(self, project):
+        project.write(
+            "src/repro/experiments/ablation.py",
+            (DATA / "experiment_fast_engine.py").read_text(encoding="utf-8"),
         )
         assert project.lint(["R003"]).clean
 

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import repro.serving.shard as shard_module
 from repro.serving.client import PredictionClient, ServingError
+from repro.serving.shard import MAX_TABLE_ENTRIES
 from repro.serving.server import (
     LINE_LIMIT,
     PredictionServer,
@@ -555,6 +556,58 @@ class TestHostileInput:
             stats["mispredictions"],
             digest,
         ) == _serial_finals({"calm": calm}, {"calm": spec})["calm"]
+
+    def test_oversized_open_is_refused_and_the_connection_stays(self):
+        """An ``open`` whose spec sizes more than the table cap gets an
+        error naming the limit; the same connection then opens a normal
+        tenant, and a tenant on another connection is untouched."""
+        import json
+
+        spec = "gshare:128:h6"
+        calm = _ibs_like(53, 400)
+        events = [
+            (int(calm.pcs[i]), int(calm.takens[i]), int(calm.conditionals[i]))
+            for i in range(len(calm))
+        ]
+
+        async def scenario():
+            async with PredictionServer(batch_size=32) as server:
+                host, port = server.address
+                async with PredictionClient(host, port) as client:
+                    await client.open("calm", spec)
+                    await client.events("calm", events[:200])
+
+                    reader, writer = await asyncio.open_connection(host, port)
+
+                    async def ask(request):
+                        writer.write(json.dumps(request).encode() + b"\n")
+                        await writer.drain()
+                        return json.loads(await reader.readline())
+
+                    refused = await ask(
+                        {"op": "open", "session": "big", "spec": "bimodal:1024m"}
+                    )
+                    reopened = await ask(
+                        {"op": "open", "session": "big", "spec": "bimodal:64"}
+                    )
+                    writer.close()
+
+                    await client.events("calm", events[200:])
+                    stats = await client.sync("calm")
+                    state = await client.snapshot("calm")
+                return refused, reopened, (
+                    stats["conditional_branches"],
+                    stats["mispredictions"],
+                    state.digest(),
+                )
+
+        refused, reopened, calm_finals = asyncio.run(scenario())
+        assert refused["ok"] is False
+        assert str(MAX_TABLE_ENTRIES) in refused["error"]
+        assert reopened["ok"] is True
+        assert calm_finals == _serial_finals({"calm": calm}, {"calm": spec})[
+            "calm"
+        ]
 
     @settings(max_examples=60, deadline=None)
     @example(payloads=[[[2 ** 64, 1]], [[True, 1]], [[4, "no"]]], batch_size=1)

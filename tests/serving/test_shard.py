@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.serving.shard import Shard
+import repro.serving.shard as shard_module
+from repro.serving.shard import MAX_TABLE_ENTRIES, Shard
 from repro.sim.config import make_predictor
 from repro.sim.state import PredictorState
 from repro.sim.vectorized import simulate_fast
@@ -21,6 +22,21 @@ class TestTenantLifecycle:
         assert shard.open("s", "bimodal:64") is tenant
         with pytest.raises(ValueError, match="spec"):
             shard.open("s", "gshare:64:h5")
+
+    def test_oversized_spec_is_refused_before_allocation(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            shard_module,
+            "make_predictor",
+            lambda spec: built.append(spec) or make_predictor(spec),
+        )
+        shard = Shard(batch_size=8)
+        for spec in ("bimodal:1024m", "gskew:3x512k:h12", "hybrid:512k:h10"):
+            with pytest.raises(ValueError, match=str(MAX_TABLE_ENTRIES)):
+                shard.open("big", spec)
+        assert built == [] and shard.tenants == {}
+        shard.open("largest", "gskew:3x256k:h12:partial")
+        assert built == ["gskew:3x256k:h12:partial"]
 
     def test_unknown_session_fails_loudly(self):
         shard = Shard(batch_size=8)
@@ -62,6 +78,40 @@ class TestTenantLifecycle:
         shard.flush()
         shard.close("b")
         assert shard.stats() == {"sessions": 2, "flushes": 1, "replays": 0}
+
+
+class TestEngineErrors:
+    def test_engine_error_requeues_the_batch(self, monkeypatch):
+        """An engine error that is not an injected fault rolls the
+        predictor back and keeps the drained batch pending."""
+        events = [(4 * (i % 5), i % 3 != 0, i % 7 != 0) for i in range(10)]
+        shard = Shard(batch_size=100)
+        tenant = shard.open("s", "gskew:3x64:h4")
+        before = tenant.snapshot()
+        for pc, taken, conditional in events:
+            shard.push("s", pc, taken, conditional)
+
+        def out_of_memory(predictor, trace, label=None):
+            predictor.banks[0].counters.values[0] = 0  # a half-done run
+            raise MemoryError("engine ran out of memory")
+
+        monkeypatch.setattr(shard_module, "simulate_fast", out_of_memory)
+        with pytest.raises(MemoryError):
+            shard.flush("s")
+        assert tenant.pending == 10
+        assert tenant.batches == 0
+        assert tenant.snapshot() == before
+
+        monkeypatch.undo()
+        assert shard.flush("s") == 10
+        predictor = make_predictor("gskew:3x64:h4")
+        serial = simulate_fast(
+            predictor,
+            Trace.from_columns(*map(list, zip(*events)), name="serial"),
+        )
+        assert tenant.conditional_branches == serial.conditional_branches
+        assert tenant.mispredictions == serial.mispredictions
+        assert tenant.snapshot() == PredictorState.capture(predictor)
 
 
 class TestBatchInvariance:

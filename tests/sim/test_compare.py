@@ -1,5 +1,8 @@
 """Tests for the paired statistical comparison utilities."""
 
+import sys
+from fractions import Fraction
+
 import pytest
 
 from repro.predictors.gshare import GsharePredictor
@@ -14,6 +17,20 @@ from repro.sim.compare import (
     paired_outcomes,
 )
 from repro.traces.trace import BranchRecord, Trace
+
+
+def exact_binomial_p(k: int, n: int) -> Fraction:
+    """Two-sided exact binomial p-value of ``k`` of ``n`` at p = 1/2.
+
+    Built independently of :func:`mcnemar`: the Pascal-triangle row as
+    exact fractions, summed over every outcome no more likely than ``k``
+    (the two-sided definition, with no symmetry shortcut).
+    """
+    row = [1]
+    for _ in range(n):
+        row = [a + b for a, b in zip([0] + row, row + [0])]
+    pmf = [Fraction(count, 2**n) for count in row]
+    return min(Fraction(1), sum(p for p in pmf if p <= pmf[k]))
 
 
 def _biased_trace(count=200, taken_ratio=0.8):
@@ -78,6 +95,17 @@ class TestMcnemar:
         p = mcnemar(paired)
         # Exact binomial for 1-of-10 at 0.5: ~0.021.
         assert 0.01 < p < 0.05
+
+    def test_exact_tail_without_scipy(self, monkeypatch):
+        """Up to 100 discordant pairs the p-value is the exact binomial
+        tail, correctly rounded, and scipy is never imported."""
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.stats", None)
+        for n in range(1, 101):
+            for only_a in range(n + 1):
+                paired = PairedOutcomes(7, only_a, n - only_a, 3, outcomes=())
+                expected = exact_binomial_p(min(only_a, n - only_a), n)
+                assert mcnemar(paired) == float(expected), (only_a, n)
 
     def test_clearly_different_predictors_flagged(self):
         trace = _biased_trace(count=500, taken_ratio=0.9)

@@ -16,7 +16,13 @@ from repro.predictors.static import (
 )
 from repro.predictors.two_level import PAsPredictor
 from repro.predictors.unaliased import UnaliasedPredictor
-from repro.sim.config import format_entries, make_predictor, parse_size
+from repro.sim.config import (
+    format_entries,
+    make_predictor,
+    parse_size,
+    table_entries,
+)
+from repro.sim.state import PredictorState
 
 
 class TestParseSize:
@@ -137,3 +143,57 @@ class TestMakePredictor:
     def test_rejects_malformed_specs(self, spec):
         with pytest.raises(ValueError):
             make_predictor(spec)
+
+
+def _allocated_entries(encoded) -> int:
+    """Counter, bias and per-address history slots in a state payload."""
+    if isinstance(encoded, dict):
+        if encoded.get("k") in ("counters", "pahist"):
+            return len(encoded["v"])
+        if encoded.get("k") == "list" and all(
+            item is None or isinstance(item, (bool, int))
+            for item in encoded["v"]
+        ):
+            return len(encoded["v"])  # agree's bias latches
+        return sum(_allocated_entries(value) for value in encoded.values())
+    if isinstance(encoded, list):
+        return sum(_allocated_entries(item) for item in encoded)
+    return 0
+
+
+class TestTableEntries:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "bimodal:64",
+            "gshare:128:h6",
+            "gselect:64:h3:c1",
+            "agree:64:h6",
+            "bimode:32:h5",
+            "hybrid:64:h6",
+            "2bcgskew:32:h6",
+            "gskew:3x64:h5",
+            "gskew:5x32:h5:lazy",
+            "egskew:3x64:h5",
+            "pas:16/h4:128",
+            "unaliased:h6",
+            "taken",
+        ],
+    )
+    def test_matches_what_the_built_predictor_allocates(self, spec):
+        payload = PredictorState.capture(make_predictor(spec)).payload
+        assert table_entries(spec) == _allocated_entries(payload)
+
+    def test_fa_counts_its_capacity(self):
+        assert table_entries("fa:1k:h4") == make_predictor("fa:1k:h4").entries
+
+    def test_huge_specs_are_sized_without_building(self):
+        assert table_entries("bimodal:1024m") == 1 << 30
+        assert table_entries("gskew:3x256k:h12:partial") == 3 << 18
+
+    @pytest.mark.parametrize(
+        "spec", ["", "gshare", "gskew:4k:h4", "pas:1k:16k", "pas:1k/h6"]
+    )
+    def test_rejects_malformed_sizes(self, spec):
+        with pytest.raises(ValueError):
+            table_entries(spec)
